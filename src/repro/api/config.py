@@ -150,8 +150,12 @@ class RunConfig:
     # -- serialization / hashing ----------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
-        """All fields as a JSON-serializable dict (round-trips via :meth:`from_dict`)."""
-        return dataclasses.asdict(self)
+        """All fields as a JSON-serializable dict (round-trips via :meth:`from_dict`).
+
+        Every field is a scalar, so this equals :func:`dataclasses.asdict`
+        without its recursive deep copy.
+        """
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
     def to_json_dict(self) -> Dict[str, Any]:
         """The wire form: all fields, JSON-serializable, stable key set.
@@ -213,7 +217,7 @@ class RunConfig:
         package (with extra config fields) still load; missing keys fall back
         to the field defaults.  Validation runs as usual.
         """
-        known = {field.name for field in dataclasses.fields(cls)}
+        known = cls.__dataclass_fields__
         return cls(**{key: value for key, value in data.items() if key in known})
 
     def cache_key(self) -> str:

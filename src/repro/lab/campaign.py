@@ -295,6 +295,15 @@ class Cell:
         )
 
 
+def cached_row(cache: ResultCache, cell: Cell, key: str) -> Optional[CellResult]:
+    """``cell``'s row replayed from ``cache`` under ``key`` (its ``cache_key()``),
+    or ``None`` on a miss or an entry recorded for another cell id."""
+    payload = cache.get(key)
+    if payload is None or payload.get("cell_id") != cell.cell_id:
+        return None
+    return CellResult.from_dict({**payload, "cached": True, "wall_time": 0.0})
+
+
 def _derive_cell_seed(master_seed: int, descriptor_blob: str) -> int:
     digest = hashlib.sha256(
         f"{master_seed}|{descriptor_blob}".encode("utf-8")
@@ -603,15 +612,15 @@ def run_campaign(
             else:
                 pending.append(cell)
 
+        # Not ``if cache``: that calls __len__, a full scan, and skips empty roots.
         cache = ResultCache(cache_dir) if cache_dir is not None else None
         from_cache = 0
         to_run: List[Cell] = []
+        run_keys: List[Optional[str]] = []  # cache key per to_run cell, hashed once
         for cell in pending:
-            payload = cache.get(cell.cache_key()) if cache and cell.cacheable else None
-            if payload is not None and payload.get("cell_id") == cell.cell_id:
-                result = CellResult.from_dict(payload)
-                result.cached = True
-                result.wall_time = 0.0
+            key = cell.cache_key() if cache is not None and cell.cacheable else None
+            result = cached_row(cache, cell, key) if key is not None else None
+            if result is not None:
                 store.append(result)
                 from_cache += 1
                 tracer.event("cache.hit", cell=cell.cell_id, spec=cell.spec)
@@ -619,6 +628,7 @@ def run_campaign(
                     progress(result, "cache")
             else:
                 to_run.append(cell)
+                run_keys.append(key)
 
         if executor is None:
             from repro.lab.executor import PoolExecutor, SerialExecutor
@@ -630,11 +640,11 @@ def run_campaign(
             )
 
         executed = 0
-        for cell, result in zip(to_run, executor.map(to_run)):
+        for key, result in zip(run_keys, executor.map(to_run)):
             store.append(result)
             executed += 1
-            if cache is not None and cell.cacheable and result.ok:
-                cache.put(cell.cache_key(), result.deterministic_dict())
+            if key is not None and result.ok:
+                cache.put(key, result.deterministic_dict())
             if progress:
                 progress(result, "run")
 

@@ -19,7 +19,7 @@ import json
 import os
 import re
 import warnings
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 #: Fields describing how a row was produced rather than what was computed.
@@ -69,10 +69,14 @@ class CellResult:
         return self.status == "ok"
 
     def to_dict(self) -> Dict[str, Any]:
-        """The full row, provenance included (one JSONL line)."""
-        data = asdict(self)
+        """The full row, provenance included (one JSONL line).
+
+        Fields are flat, so this equals ``dataclasses.asdict`` minus its deep copy.
+        """
+        data = {name: getattr(self, name) for name in self.__dataclass_fields__}
         data["input"] = list(self.input)
         data["outputs"] = list(self.outputs)
+        data["config"] = dict(self.config)
         return data
 
     def deterministic_dict(self) -> Dict[str, Any]:
@@ -85,9 +89,8 @@ class CellResult:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CellResult":
         """Rebuild a row from :meth:`to_dict` / :meth:`deterministic_dict` output."""
-        known = {f.name for f in fields(cls)}
-        kwargs = {key: value for key, value in data.items() if key in known}
-        return cls(**kwargs)
+        known = cls.__dataclass_fields__
+        return cls(**{key: value for key, value in data.items() if key in known})
 
 
 #: Fast path for pulling the ``cell_id`` out of a row without parsing the
@@ -167,12 +170,8 @@ class ResultStore:
         match = _CELL_ID_RE.search(line)
         if match is not None:
             return match.group(1)
-        try:  # hand-written / re-ordered row: fall back to a real parse
-            data = json.loads(line)
-        except json.JSONDecodeError:
-            return None
-        cell_id = data.get("cell_id") if isinstance(data, dict) else None
-        return cell_id if isinstance(cell_id, str) else None
+        # hand-written / re-ordered row: fall back to a real parse
+        return ResultStore._strict_cell_id(line)
 
     @staticmethod
     def _strict_cell_id(line: str) -> Optional[str]:
@@ -190,9 +189,12 @@ class ResultStore:
         makes million-row resume scans cheap.  Interior lines use the fast
         scan; the final line (the only one an interrupted append can tear) is
         fully parsed so a torn tail never masquerades as a completed cell.
+        A missing file is an empty store.
         """
         last: Dict[str, int] = {}
         stats = StoreScanStats()
+        if not os.path.exists(self.path):
+            return last, stats
         corrupt_lines = 0
 
         def take(index: int, line: str, cell_id: Optional[str]) -> None:
@@ -283,21 +285,12 @@ class ResultStore:
         :class:`CellResult` — so resuming a million-cell sweep costs one pass
         of regex scans, not a million dataclass constructions.
         """
-        if not os.path.exists(self.path):
-            self.last_scan = StoreScanStats()
-            return set()
-        last, stats = self._index()
-        self.last_scan = stats
+        last, self.last_scan = self._index()
         return set(last)
 
     def __len__(self) -> int:
         """Number of distinct completed cells (the deduplicated row count)."""
-        if not os.path.exists(self.path):
-            self.last_scan = StoreScanStats()
-            return 0
-        last, stats = self._index()
-        self.last_scan = stats
-        return len(last)
+        return len(self.completed_ids())
 
     def __repr__(self) -> str:
         return f"ResultStore({self.path!r})"

@@ -36,7 +36,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 from repro.api.config import RunConfig
 from repro.lab.backends import SharedDirQueue
 from repro.lab.cache import ResultCache
-from repro.lab.campaign import Campaign, Cell
+from repro.lab.campaign import Campaign, Cell, cached_row
 from repro.lab.executor import run_cell
 from repro.lab.store import CellResult
 from repro.serve.metrics import ServerMetrics
@@ -197,14 +197,8 @@ class JobManager:
         """The cached row for a cell, or ``None``; records hit/miss metrics."""
         if self.cache is None or not cell.cacheable:
             return None
-        payload = self.cache.get(cell.cache_key())
-        if payload is None or payload.get("cell_id") != cell.cell_id:
-            self.metrics.record_cache(False)
-            return None
-        self.metrics.record_cache(True)
-        row = CellResult.from_dict(payload)
-        row.cached = True
-        row.wall_time = 0.0
+        row = cached_row(self.cache, cell, cell.cache_key())
+        self.metrics.record_cache(row is not None)
         return row
 
     def cache_publish(self, cell: Cell, row: CellResult) -> None:

@@ -192,10 +192,12 @@ class ReproServer:
         except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
             pass
         finally:
+            # stop() may cancel a connection that is already closing; Python
+            # 3.11 logs a connection task that ends cancelled as an error.
             try:
                 writer.close()
                 await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
+            except (OSError, asyncio.CancelledError):
                 pass
 
     # -- foreground entry point (the CLI) ---------------------------------------------

@@ -1,5 +1,7 @@
 """Cache keys, the content-addressed cache, the JSONL store, and resume."""
 
+import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -8,7 +10,11 @@ from repro.api.config import RunConfig
 from repro.core.specs import FunctionSpec
 from repro.lab.cache import ResultCache, cell_cache_key, spec_fingerprint
 from repro.lab.campaign import Campaign, SweepGrid, run_campaign
-from repro.lab.store import CellResult, ResultStore
+from repro.lab.store import PROVENANCE_FIELDS, CellResult, ResultStore
+
+
+def canonical(data):
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
 class TestRunConfigCacheKey:
@@ -206,7 +212,8 @@ print(json.dumps({{"worker": worker_id, "errors": errors}}))
 
 
 class TestResultStore:
-    def row(self, cell_id="c1", **overrides):
+    @staticmethod
+    def row(cell_id="c1", **overrides):
         kwargs = dict(
             cell_id=cell_id,
             spec="minimum",
@@ -318,6 +325,57 @@ class TestResultStore:
         assert rebuilt.deterministic_dict() == deterministic
 
 
+class TestGoldenSerialization:
+    """The field-by-field dicts render exactly what ``dataclasses.asdict`` did."""
+
+    ROWS = {
+        "ok": TestResultStore.row("ok1"),
+        "error": TestResultStore.row(
+            "err1", status="error", error="Boom: x", outputs=(),
+            output_mode=None, output_unanimous=None, converged=None, correct=None,
+            mean_steps=None, total_steps=None, cpu_time=0.25, worker=4321,
+        ),
+        "cached": TestResultStore.row("hit1", cached=True, wall_time=0.0),
+    }
+
+    @staticmethod
+    def asdict_row(row):
+        data = dataclasses.asdict(row)
+        data["input"] = list(row.input)
+        data["outputs"] = list(row.outputs)
+        return data
+
+    @pytest.mark.parametrize("kind", sorted(ROWS))
+    def test_row_dicts_match_asdict(self, kind):
+        row = self.ROWS[kind]
+        reference = self.asdict_row(row)
+        assert canonical(row.to_dict()) == canonical(reference)
+        for name in PROVENANCE_FIELDS:
+            reference.pop(name)
+        assert canonical(row.deterministic_dict()) == canonical(reference)
+
+    @pytest.mark.parametrize("kind", sorted(ROWS))
+    def test_mutating_the_returned_config_leaves_the_row_alone(self, kind):
+        row = self.ROWS[kind]
+        before = canonical(row.to_dict())
+        row.to_dict()["config"]["trials"] = -1
+        row.deterministic_dict()["config"].clear()
+        assert canonical(row.to_dict()) == before
+
+    @pytest.mark.parametrize("config", [RunConfig(), RunConfig(seed=3, quiescence_window=7)])
+    def test_config_dict_and_key_match_asdict(self, config):
+        reference = canonical(dataclasses.asdict(config))
+        assert canonical(config.to_dict()) == reference
+        assert config.cache_key() == hashlib.sha256(reference.encode("utf-8")).hexdigest()
+
+    def test_default_config_key_is_pinned(self):
+        # the cache address of every default-config cell; a change here
+        # orphans existing caches without a CODE_SALT bump
+        assert RunConfig().cache_key() == (
+            "722463aea3e957eba4c72348d0321193781dfadd5ed9351a733927e8d6abebfd"
+        )
+
+
 def tiny_campaign(seed=9):
     return Campaign(
         name="cache-test",
@@ -340,6 +398,48 @@ class TestCampaignCacheAndResume:
         assert second.summary.cache_hits == second.total_cells
         assert [r.deterministic_dict() for r in first.results] == [
             r.deterministic_dict() for r in second.results
+        ]
+
+    def test_replay_never_sizes_the_cache(self, tmp_path, monkeypatch):
+        # sizing the cache walks every shard: a per-lookup truth test made
+        # replay cost O(cells x cache size)
+        cache_dir = str(tmp_path / "cache")
+        run_campaign(tiny_campaign(), str(tmp_path / "out1"), cache_dir=cache_dir)
+
+        def no_len(self):
+            raise AssertionError("ResultCache.__len__ called during a campaign")
+
+        monkeypatch.setattr(ResultCache, "__len__", no_len)
+        replay = run_campaign(tiny_campaign(), str(tmp_path / "out2"), cache_dir=cache_dir)
+        assert replay.from_cache == replay.total_cells
+
+    def test_first_campaign_into_an_empty_root_still_looks_up(self, tmp_path, monkeypatch):
+        lookups = []
+        original = ResultCache.get
+
+        def counting_get(self, key):
+            lookups.append(key)
+            return original(self, key)
+
+        monkeypatch.setattr(ResultCache, "get", counting_get)
+        cells = tiny_campaign().expand()
+        run = run_campaign(tiny_campaign(), str(tmp_path / "out"), cache_dir=str(tmp_path / "c"))
+        assert run.executed == run.total_cells
+        assert sorted(lookups) == sorted(cell.cache_key() for cell in cells if cell.cacheable)
+
+    def test_from_cache_counts_the_pending_seeded_cells(self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        first = run_campaign(tiny_campaign(), str(tmp_path / "out1"), cache_dir=cache_dir)
+        # a second directory that already holds four rows: five cells pend
+        (tmp_path / "out2").mkdir()
+        lines = (tmp_path / "out1" / "results.jsonl").read_text().splitlines(keepends=True)
+        (tmp_path / "out2" / "results.jsonl").write_text("".join(lines[:4]))
+        second = run_campaign(tiny_campaign(), str(tmp_path / "out2"), cache_dir=cache_dir)
+        assert second.already_done == 4
+        assert second.from_cache == second.total_cells - 4 == 5
+        assert second.executed == 0
+        assert [canonical(r.deterministic_dict()) for r in second.results] == [
+            canonical(r.deterministic_dict()) for r in first.results
         ]
 
     def test_rerun_into_same_dir_skips_done_cells(self, tmp_path):

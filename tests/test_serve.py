@@ -15,7 +15,9 @@ The two contracts the suite pins down:
   the same grid (same cell ids, same derived per-cell seeds, same outputs).
 """
 
+import asyncio
 import json
+import logging
 import os
 import signal
 import subprocess
@@ -707,6 +709,68 @@ class TestServerModes:
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError, match="workers"):
             ReproServer(workers=-1)
+
+
+class TestQuietShutdown:
+    """``stop()`` cancels open connections without asyncio error logs."""
+
+    HEALTH = b"GET /v1/health HTTP/1.1\r\nHost: test\r\n\r\n"
+
+    @staticmethod
+    def asyncio_errors(caplog):
+        return [r for r in caplog.records if r.name == "asyncio" and r.levelno >= logging.ERROR]
+
+    async def settle(self):
+        for _ in range(5):  # let connection-task done callbacks run
+            await asyncio.sleep(0)
+
+    def test_stop_with_idle_keep_alive_connection(self, caplog):
+        caplog.set_level(logging.ERROR, logger="asyncio")
+
+        async def scenario():
+            server = ReproServer(port=0, workers=0, cache_dir=None)
+            await server.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            writer.write(self.HEALTH)
+            await writer.drain()
+            await reader.readuntil(b"\r\n\r\n")
+            await server.stop()  # the connection is idle, still keep-alive
+            await self.settle()
+            assert not server._connections
+            writer.close()
+
+        asyncio.run(scenario())
+        assert self.asyncio_errors(caplog) == []
+
+    def test_stop_while_a_connection_is_closing(self, caplog, monkeypatch):
+        # The SIGTERM race: the client hung up and the handler is awaiting
+        # wait_closed() when stop() cancels it.
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        original = asyncio.StreamWriter.wait_closed
+        closing = []
+
+        async def slow_wait_closed(self):
+            closing.append(self)
+            await asyncio.sleep(0.05)
+            await original(self)
+
+        async def scenario():
+            server = ReproServer(port=0, workers=0, cache_dir=None)
+            await server.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            writer.write(self.HEALTH)
+            await writer.drain()
+            await reader.readuntil(b"\r\n\r\n")
+            monkeypatch.setattr(asyncio.StreamWriter, "wait_closed", slow_wait_closed)
+            writer.close()
+            while not closing:
+                await asyncio.sleep(0.001)
+            await server.stop()
+            await self.settle()
+            assert not server._connections
+
+        asyncio.run(scenario())
+        assert self.asyncio_errors(caplog) == []
 
 
 class TestCliServe:

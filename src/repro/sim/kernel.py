@@ -21,6 +21,12 @@ over the shared :class:`~repro.sim.engine.CompiledCRN` IR:
   with the species ``j`` changed) are refreshed — the Gibson–Bruck dependency
   trick, which makes exact SSA scale with the number of *affected* reactions
   instead of the number of reactions;
+* per step, the fair stepper and the next-reaction stepper cost
+  O(|deps(j)|) and never O(R).  The fair stepper keeps the ascending list of
+  enabled reactions beside its flags.  The NRM stepper writes to its heap
+  only for clocks that actually move, with one O(log R) sift each.  Only the
+  direct method still sums all R propensities per step, because a running
+  total would reorder its float additions and so change seeded streams;
 * scheduling semantics are pluggable :class:`StepPolicy` strategies —
   :class:`GillespiePolicy` (exponential clocks, propensity-proportional
   choice), :class:`NextReactionPolicy` (Gibson–Bruck next-reaction method:
@@ -74,6 +80,7 @@ from __future__ import annotations
 import math
 import random
 import time as _time
+from bisect import insort
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
@@ -361,6 +368,22 @@ class IndexedPriorityQueue:
         heap[i] = item
         pos[item] = i
 
+    def _rekey(self, item: int, key: float) -> None:
+        """Set a live ``item``'s key with one directional sift, unchecked.
+
+        Up if the key fell, down if it rose, nothing if it is unchanged: on a
+        valid heap at most one of the two sifts can move the item, so this is
+        the exact layout sift-up-then-sift-down leaves (ties, and with them
+        seeded NRM streams, depend on the layout).
+        """
+        keys = self._keys
+        old = keys[item]
+        keys[item] = key
+        if key < old:
+            self._sift_up(self._pos[item])
+        elif old < key:
+            self._sift_down(self._pos[item])
+
     # -- the public contract ---------------------------------------------------
 
     def __len__(self) -> int:
@@ -413,10 +436,7 @@ class IndexedPriorityQueue:
         """Set ``item``'s key and restore the heap order (O(log n))."""
         if item not in self:
             raise KeyError(f"item {item!r} is not in the queue")
-        self._keys[item] = key
-        i = self._pos[item]
-        self._sift_up(i)
-        self._sift_down(self._pos[item])
+        self._rekey(item, key)
 
     def __repr__(self) -> str:
         entries = ", ".join(
@@ -445,9 +465,11 @@ class NextReactionPolicy(StepPolicy):
       fresh draw when re-enabled.
 
     Statistically identical to :class:`GillespiePolicy` — both sample the
-    same CTMC — but each step costs O(|deps(j)| log R) instead of the direct
-    method's O(R) propensity scan, which wins for the dozens-of-reactions
-    networks the general construction emits.  Seeded runs are *not*
+    same CTMC — but each step costs |deps(j)| propensity refreshes plus one
+    O(log R) sift per clock that moves (a reaction that stays disabled costs
+    no heap write), instead of the direct method's O(R) propensity scan.
+    That wins for the dozens-of-reactions networks the general construction
+    emits.  Seeded runs are *not*
     bit-comparable across the two (different stream consumption); the KS
     gates in ``tests/test_statistical_equivalence.py`` are the equivalence
     contract.
@@ -525,13 +547,20 @@ class _NRMStepper:
         return j, t
 
     def fired(self, j: int, counts: List[int]) -> None:
-        """Gibson–Bruck repair: fresh clock for ``j``, rescaled clocks for deps."""
+        """Gibson–Bruck repair: fresh clock for ``j``, rescaled clocks for deps.
+
+        Only clocks that move touch the heap: a dependent that was disabled
+        and stays disabled keeps its ``inf`` key and its slot, and each
+        re-key sifts one way (:meth:`IndexedPriorityQueue._rekey`, which
+        skips the public membership checks: every reaction stays live).
+        """
         t = self.time_now
         dependents = self.compiled.dependency_graph[j]
         self.last_recomputed = dependents
         self.propensity_ops += len(dependents)
         props = self.props
-        queue = self.queue
+        keys = self.queue._keys
+        rekey = self.queue._rekey
         rng = self.rng
         for r in dependents:
             old = props[r]
@@ -540,19 +569,20 @@ class _NRMStepper:
             if r == j:
                 continue  # its clock is consumed; redrawn below regardless
             if new <= 0.0:
-                queue.update(r, math.inf)
+                if old > 0.0:
+                    rekey(r, math.inf)
             elif old > 0.0:
                 if new != old:
-                    queue.update(r, t + (old / new) * (queue.key(r) - t))
+                    rekey(r, t + (old / new) * (keys[r] - t))
             else:
-                queue.update(r, t + rng.expovariate(new))
+                rekey(r, t + rng.expovariate(new))
                 self.rng_draws += 1
         a = props[j]
         if a > 0.0:
-            queue.update(j, t + rng.expovariate(a))
+            rekey(j, t + rng.expovariate(a))
             self.rng_draws += 1
         else:
-            queue.update(j, math.inf)
+            rekey(j, math.inf)
 
     def propensities(self) -> Tuple[float, ...]:
         """A snapshot of the incrementally-maintained propensity vector."""
@@ -564,9 +594,24 @@ class _NRMStepper:
 
 
 class _FairStepper:
-    """Single-run fair-scheduler state: the applicability flags, kept incrementally."""
+    """Single-run fair-scheduler state: the applicability flags and the
+    ascending list of enabled reactions, both kept incrementally.
 
-    __slots__ = ("compiled", "rng", "weights", "app", "last_recomputed", "propensity_ops", "rng_draws")
+    A step costs O(|deps(j)|) flag refreshes plus one sorted-list insert or
+    removal per flag that flips; ``select`` draws straight from ``enabled``
+    (O(1) unbiased, O(|enabled|) biased) instead of rescanning all R flags.
+    """
+
+    __slots__ = (
+        "compiled",
+        "rng",
+        "weights",
+        "app",
+        "enabled",
+        "last_recomputed",
+        "propensity_ops",
+        "rng_draws",
+    )
 
     def __init__(
         self,
@@ -578,6 +623,9 @@ class _FairStepper:
         self.rng = rng
         self.weights = weights
         self.app: List[bool] = []
+        #: Indices of the applicable reactions, ascending — the list the
+        #: legacy scheduler rebuilt every step, so the draws are unchanged.
+        self.enabled: List[int] = []
         #: Reactions refreshed by the most recent ``fired`` call (test hook).
         self.last_recomputed: Tuple[int, ...] = ()
         #: Applicability evaluations — the fair scheduler's analogue of the
@@ -597,38 +645,45 @@ class _FairStepper:
         self.app = [
             self._applicable(r, counts) for r in range(self.compiled.n_reactions)
         ]
+        self.enabled = [r for r, ok in enumerate(self.app) if ok]
         self.propensity_ops += len(self.app)
 
     def select(self, time_now: float, max_time: float) -> Tuple[int, float]:
         """Pick a random applicable reaction (``_SILENT`` when there is none)."""
-        app = self.app
-        applicable = [j for j in range(len(app)) if app[j]]
-        if not applicable:
+        enabled = self.enabled
+        if not enabled:
             return _SILENT, time_now
         rng = self.rng
         self.rng_draws += 1
         if self.weights is None:
-            return rng.choice(applicable), time_now
-        weights = [self.weights[j] for j in applicable]
+            return rng.choice(enabled), time_now
+        weights = [self.weights[j] for j in enabled]
         total = sum(weights)
         if total <= 0:
-            return rng.choice(applicable), time_now
+            return rng.choice(enabled), time_now
         pick = rng.random() * total
         cumulative = 0.0
-        for j, weight in zip(applicable, weights):
+        for j, weight in zip(enabled, weights):
             cumulative += weight
             if pick <= cumulative:
                 return j, time_now
-        return applicable[-1], time_now
+        return enabled[-1], time_now
 
     def fired(self, j: int, counts: List[int]) -> None:
-        """Refresh exactly the applicability flags firing ``j`` can have changed."""
+        """Refresh exactly the applicability flags firing ``j`` can have
+        changed, moving each reaction whose flag flips in or out of ``enabled``."""
         dependents = self.compiled.dependency_graph[j]
         self.last_recomputed = dependents
         self.propensity_ops += len(dependents)
         app = self.app
         for r in dependents:
-            app[r] = self._applicable(r, counts)
+            ok = self._applicable(r, counts)
+            if ok != app[r]:
+                app[r] = ok
+                if ok:
+                    insort(self.enabled, r)
+                else:
+                    self.enabled.remove(r)
 
     def applicability(self) -> Tuple[bool, ...]:
         """A snapshot of the incrementally-maintained applicability flags."""

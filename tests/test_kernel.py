@@ -40,6 +40,7 @@ from repro.sim.kernel import (
     NextReactionPolicy,
     SimulatorCore,
     TauLeapPolicy,
+    _SILENT,
     default_quiescence_window,
 )
 from repro.sim.runner import run_many
@@ -63,6 +64,24 @@ def build_strategy_cases():
 
 STRATEGY_CASES = build_strategy_cases()
 STRATEGY_IDS = [label for label, _, _ in STRATEGY_CASES]
+
+
+def large_construction(name):
+    """The Lemma 6.2 general constructions the construction sweep runs."""
+    from repro.functions.extended import min3_with_offset_spec
+    from repro.functions.paper_examples import fig4a_style_spec
+
+    spec = {"fig4a_style": fig4a_style_spec, "min3_with_offset": min3_with_offset_spec}
+    return build_crn_for(spec[name](), strategy="general")
+
+
+def configuration_digest(configuration):
+    """A short fingerprint of a configuration (the fair path's choice sequence
+    leaves no trace in steps / outputs / counters of a stable computation)."""
+    import hashlib
+
+    text = repr(sorted((str(sp), n) for sp, n in configuration.items()))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def assert_same_gillespie(kernel_result, reference_result):
@@ -327,14 +346,21 @@ class TestIncrementalState:
             fresh.start(counts)
             assert stepper.propensities() == fresh.propensities()
 
-    def test_incremental_applicability_equals_full_recompute(self):
-        crn = build_crn_for(quilt_2d_fig3b_spec(), strategy="quilt")
+    @pytest.mark.parametrize(
+        "crn,x",
+        [
+            (build_crn_for(quilt_2d_fig3b_spec(), strategy="quilt"), (3, 3)),
+            (large_construction("fig4a_style"), (12, 9)),
+        ],
+        ids=["quilt/fig3b", "general/fig4a_style"],
+    )
+    def test_incremental_applicability_equals_full_recompute(self, crn, x):
         compiled = crn.compiled()
         rng = random.Random(7)
         stepper = FairPolicy().bind(compiled, rng)
-        counts = list(compiled.encode(crn.initial_configuration((3, 3))))
+        counts = list(compiled.encode(crn.initial_configuration(x)))
         stepper.start(counts)
-        for _ in range(200):
+        for _ in range(1000):
             j, _time = stepper.select(0.0, float("inf"))
             if j < 0:
                 break
@@ -344,6 +370,10 @@ class TestIncrementalState:
             fresh = FairPolicy().bind(compiled, random.Random(0))
             fresh.start(counts)
             assert stepper.applicability() == fresh.applicability()
+            # The enabled list select() draws from: ascending applicable indices.
+            applicable = [r for r, ok in enumerate(fresh.applicability()) if ok]
+            assert stepper.enabled == applicable
+        assert j == _SILENT
 
 
 class TestTauLeapPolicy:
@@ -589,6 +619,44 @@ class TestNextReactionPolicy:
                 counts[s] += delta
             stepper.fired(j, counts)
         assert stepper.propensity_ops > 0
+
+    def test_dependent_that_stays_disabled_is_not_resifted(self, monkeypatch):
+        # A -> B feeds B + C -> D, but with C = 0 the second reaction stays
+        # disabled: its putative time is inf before and after, so the repair
+        # must leave its heap slot alone (only A -> B's own clock moves).
+        from repro.sim.kernel import IndexedPriorityQueue
+
+        A, B, C, D = species("A B C D")
+        crn = CRN([A >> B, (B + C) >> D], (A,), D)
+        compiled = crn.compiled()
+        assert compiled.dependency_graph[0] == (0, 1)
+        stepper = NextReactionPolicy().bind(compiled, random.Random(5))
+        counts = list(compiled.encode(crn.initial_configuration((3,))))
+        stepper.start(counts)
+        touched = []
+        for name in ("_sift_up", "_sift_down"):
+            original = getattr(IndexedPriorityQueue, name)
+
+            def spy(queue, i, _original=original):
+                touched.append(queue._heap[i])
+                _original(queue, i)
+
+            monkeypatch.setattr(IndexedPriorityQueue, name, spy)
+        rekey = IndexedPriorityQueue._rekey
+
+        def rekey_spy(queue, item, key):
+            touched.append(item)
+            rekey(queue, item, key)
+
+        monkeypatch.setattr(IndexedPriorityQueue, "_rekey", rekey_spy)
+        j, _time = stepper.select(0.0, float("inf"))
+        assert j == 0
+        for s, delta in compiled.net_terms[j]:
+            counts[s] += delta
+        stepper.fired(j, counts)
+        assert stepper.propensities()[1] == 0.0
+        assert 0 in touched
+        assert 1 not in touched
 
     def test_incremental_propensities_equal_full_recompute(self):
         import math
@@ -840,6 +908,55 @@ class TestSeedStreamLockTauVec:
         )]
         stepper.exact.start(counts)
         assert stepper.select_tau(counts) == expected
+
+
+class TestSeedStreamLockLargeConstructions:
+    """Seeded fair and NRM streams on the R=132 and R=100 general constructions.
+
+    Captured before the steppers learnt the incremental enabled list (fair)
+    and the no-op-free heap repair (NRM).  These networks park most of their
+    reactions disabled at any moment, so they exercise the skipped
+    ``inf -> inf`` heap writes and the enabled-list flips that the tiny CRNs
+    of the other fixtures never reach.  ``mid`` is the digest of the
+    configuration after ``steps // 2`` events of the same seeded run — the
+    only field that sees the fair scheduler's individual choices.
+    """
+
+    @pytest.mark.parametrize(
+        "name,x,policy,seed,steps,final_time,output,propensity_ops,rng_draws,mid",
+        [
+            ("fig4a_style", (12, 9), "python", 1, 685, 0.0, 9, 2476, 685, "b8d722527596ede2"),
+            ("fig4a_style", (12, 9), "python", 2, 685, 0.0, 9, 2476, 685, "eae06511d926d654"),
+            ("fig4a_style", (12, 9), "python", 3, 685, 0.0, 9, 2476, 685, "dd88a2e634882bc3"),
+            ("fig4a_style", (12, 9), "nrm", 1, 685, 9.791236619416772, 9, 2476, 762, "4e48d85c7f651b3f"),
+            ("fig4a_style", (12, 9), "nrm", 2, 685, 10.101047439246603, 9, 2476, 746, "9e85b549eb355c5f"),
+            ("fig4a_style", (12, 9), "nrm", 3, 685, 9.31899377690269, 9, 2476, 754, "f4312197e43cb9f2"),
+            ("min3_with_offset", (6, 5, 7), "python", 1, 107, 0.0, 6, 1337, 107, "c00a7a7c97b857d9"),
+            ("min3_with_offset", (6, 5, 7), "python", 2, 107, 0.0, 6, 1337, 107, "d54b0d8c170cca92"),
+            ("min3_with_offset", (6, 5, 7), "python", 3, 107, 0.0, 6, 1337, 107, "c27f92ba46562c85"),
+            ("min3_with_offset", (6, 5, 7), "nrm", 1, 107, 5.844540853114825, 6, 1337, 138, "9b8d7e15d9e816b1"),
+            ("min3_with_offset", (6, 5, 7), "nrm", 2, 107, 7.653814681619077, 6, 1337, 134, "43dee26d17e3e4ac"),
+            ("min3_with_offset", (6, 5, 7), "nrm", 3, 107, 9.391348135556303, 6, 1337, 133, "58f7cefc91c9e4bb"),
+        ],
+    )
+    def test_replays_pre_enabled_list_fixture(
+        self, name, x, policy, seed, steps, final_time, output, propensity_ops, rng_draws, mid
+    ):
+        crn = large_construction(name)
+        make = {"python": FairPolicy, "nrm": NextReactionPolicy}[policy]
+        result = SimulatorCore(crn, make(), rng=random.Random(seed)).run_on_input(
+            x, quiescence_window=default_quiescence_window(x)
+        )
+        assert result.silent
+        assert result.steps == steps
+        assert result.final_time == final_time
+        assert crn.output_count(result.final_configuration) == output
+        assert result.stats.propensity_ops == propensity_ops
+        assert result.stats.rng_draws == rng_draws
+        half = SimulatorCore(crn, make(), rng=random.Random(seed)).run_on_input(
+            x, max_steps=steps // 2
+        )
+        assert configuration_digest(half.final_configuration) == mid
 
 
 class TestSimulatorCore:

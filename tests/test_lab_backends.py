@@ -245,7 +245,15 @@ class TestWorkerSubprocesses:
         serial = run_campaign(campaign, str(tmp_path / "serial"), cache_dir=None)
 
         queue_dir = tmp_path / "queue"
-        workers = [spawn_worker(queue_dir, f"w{i}") for i in range(2)]
+        assert len(campaign.expand()) == 16
+        # Each worker stops after 8 of the 16 cells, so both must execute
+        # exactly half; an uncapped fast worker could claim every cell before
+        # the other starts.  The long lease rules out a reclaimed (and so
+        # duplicated) cell, which would leave one cell for neither capped worker.
+        workers = [
+            spawn_worker(queue_dir, f"w{i}", lease_ttl="60", extra=("--max-cells", "8"))
+            for i in range(2)
+        ]
         try:
             backend = SharedDirBackend(
                 queue_dir=str(queue_dir), participate=False, poll=0.05
@@ -263,6 +271,8 @@ class TestWorkerSubprocesses:
         assert canonical(sharded.results) == canonical(serial.results)
         provenance = json.loads((tmp_path / "sharded" / "provenance.json").read_text())
         assert set(provenance["workers"]) >= {"w0", "w1"}
+        executed = {w: s["executed"] for w, s in provenance["workers"].items()}
+        assert executed == {"w0": 8, "w1": 8}
 
     def test_sigkilled_worker_resumes_without_duplicates(self, tmp_path):
         campaign = tiny_campaign(grid="0:4", name="kill-resume")

@@ -26,8 +26,11 @@ and is registered under a name with capability metadata::
 
 After registration, ``engine="my-backend"`` works everywhere an ``engine=``
 selector or :class:`~repro.api.config.RunConfig` is accepted — no dispatch
-code needs to change.  The built-in ``"python"`` and ``"vectorized"`` engines
-are registered the same way in :mod:`repro.sim.runner`.
+code needs to change.  The built-in engines (``"python"``, ``"vectorized"``,
+``"nrm"``, ``"tau"``, ``"tau-vec"``) are registered the same way, from the
+:data:`repro.sim.runner.BUILTIN_ENGINES` table.  A new scalar engine is
+usually a :class:`repro.sim.runner.ScalarPolicyEngine` subclass with one
+policy factory rather than a hand-written adapter.
 """
 
 from __future__ import annotations
@@ -125,7 +128,7 @@ def _ensure_builtin_engines() -> None:
     # caller (e.g. a test) unregistered, so the defaults are always
     # restorable.  Only the missing names are touched — a deliberate
     # replace=True override of the other built-ins must survive.
-    missing = {"python", "vectorized", "nrm", "tau", "tau-vec"} - set(_REGISTRY)
+    missing = set(runner.BUILTIN_ENGINES) - set(_REGISTRY)
     if missing:
         runner.register_builtin_engines(missing)
 

@@ -6,40 +6,13 @@ or a single :class:`repro.api.config.RunConfig`; the keywords are forwarded
 into a ``RunConfig`` internally, so both spellings hit the same code path.
 
 Engines are resolved through the pluggable registry of
-:mod:`repro.sim.registry`.  The two built-ins are registered here:
-
-* ``"python"`` (default) — the scalar simulators, now backed by the shared
-  kernel (:mod:`repro.sim.kernel`): one trajectory at a time over the
-  ``CompiledCRN`` IR with dependency-graph propensity updates.  Seeded runs
-  reproduce the historical dict-backed behaviour bit for bit.
-* ``"vectorized"`` — the numpy batch engines of :mod:`repro.sim.engine`, which
-  advance all trials simultaneously and remain the best option for very large
-  populations or trial counts.  Seeded runs are reproducible, but draw from a
-  numpy random stream distinct from the python engine's (see DESIGN.md).
-* ``"nrm"`` — exact SSA via the Gibson–Bruck next-reaction method
-  (:class:`repro.sim.kernel.NextReactionPolicy`): per-reaction putative firing
-  times in an indexed priority queue, so each step costs O(|deps| log R)
-  instead of the direct method's O(R) propensity scan — the engine of choice
-  for the dozens-of-reactions networks the general construction emits.
-  Scheduling is *kinetic only* (``supports_fair=False``); results are
-  statistically — not bit-for-bit — equivalent to the other exact engines.
-* ``"tau"`` — approximate SSA via tau-leaping
-  (:class:`repro.sim.kernel.TauLeapPolicy`): many reactions fire per
-  scheduler iteration when propensities are quasi-constant, controlled by the
-  ``epsilon`` error knob on :class:`~repro.api.config.RunConfig`.  Scheduling
-  is *kinetic* (Gillespie rates, not the fair scheduler), and results are
-  statistically — not bit-for-bit — equivalent to the exact engines
-  (``tests/test_statistical_equivalence.py`` gates this).  Intended for
-  populations around 10^4 and above; under its recommended floor it degrades
-  gracefully to exact stepping.
-* ``"tau-vec"`` — batched tau-leaping
-  (:class:`repro.sim.engine.BatchTauLeapEngine`): the whole trial batch
-  advances one Cao–Gillespie–Petzold leap per round through dense numpy
-  kinetics, compounding the batch engines' vectorization with tau's
-  scheduler-iteration collapse.  Same ``epsilon`` knob, same kinetic-only
-  scheduling and statistical (KS-gated) equivalence contract as ``"tau"``,
-  same exact-fallback rule per trial — but on the numpy random stream, an
-  order of magnitude faster at populations of 10^5 and above.
+:mod:`repro.sim.registry`.  Every built-in engine has one of two adapter
+shapes: a :class:`ScalarPolicyEngine` runs one scalar-kernel trajectory per
+trial seed under a :class:`~repro.sim.kernel.StepPolicy`, and a
+:class:`BatchEngine` advances all trials at once through one numpy batch
+engine of :mod:`repro.sim.engine`.  :data:`BUILTIN_ENGINES` lists the
+built-ins with their adapter classes and capability metadata; it is the one
+place that says which kernel policy or batch engine backs each name.
 
 Third-party backends plug in via
 :func:`repro.sim.registry.register_engine` and become addressable as
@@ -51,15 +24,23 @@ from __future__ import annotations
 import random
 import statistics
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.api.config import RunConfig
 from repro.crn.network import CRN
+from repro.sim.engine import (
+    BatchFairEngine,
+    BatchGillespieEngine,
+    BatchTauLeapEngine,
+    CompiledCRN,
+)
 from repro.sim.fair import FairRunResult, FairScheduler
-from repro.sim.gillespie import GillespieSimulator
 from repro.sim.kernel import (
+    FairPolicy,
+    GillespiePolicy,
     NextReactionPolicy,
     SimulatorCore,
+    StepPolicy,
     TauLeapPolicy,
     default_quiescence_window,
 )
@@ -73,6 +54,9 @@ __all__ = [
     "estimate_expected_output",
     "sweep_inputs",
     "register_builtin_engines",
+    "BUILTIN_ENGINES",
+    "ScalarPolicyEngine",
+    "BatchEngine",
     "PythonEngine",
     "VectorizedEngine",
     "NextReactionEngine",
@@ -159,82 +143,84 @@ def run_to_convergence(
 # ---------------------------------------------------------------------------
 
 
-def _aggregate_scalar_trials(crn: CRN, x: Sequence[int], config: RunConfig, run_one) -> ConvergenceReport:
-    """Fold one scalar run per trial seed into a :class:`ConvergenceReport`.
+def _quiescence_window(x: Sequence[int], config: RunConfig) -> int:
+    if config.quiescence_window is None:
+        return default_quiescence_window(x)
+    return config.quiescence_window
 
-    ``run_one(trial_seed)`` returns any result exposing
-    ``final_configuration`` / ``max_output_seen`` / ``steps`` / ``silent`` /
-    ``converged`` — the shared aggregation of the per-trajectory engines.
+
+class ScalarPolicyEngine:
+    """Adapter shape 1: one :class:`SimulatorCore` trajectory per trial seed.
+
+    A subclass supplies two policy factories: :meth:`run_policy` for
+    ``run_many`` and :meth:`kinetic_policy` for ``estimate_expected_output``
+    (and for the KS samples of
+    :func:`repro.verify.statistical.sample_kinetic_distribution`).  Trial
+    ``i`` consumes a ``random.Random`` seeded with the ``i``-th of
+    ``config.trial_seeds()``.  Policies are stateless, so one policy serves
+    every trial of a call.
     """
-    outputs: List[int] = []
-    max_outputs: List[int] = []
-    steps: List[int] = []
-    all_done = True
-    for trial_seed in config.trial_seeds():
-        result = run_one(trial_seed)
-        outputs.append(crn.output_count(result.final_configuration))
-        max_outputs.append(result.max_output_seen)
-        steps.append(result.steps)
-        if not (result.silent or result.converged):
-            all_done = False
-    return ConvergenceReport(
-        input_value=tuple(x),
-        outputs=outputs,
-        max_outputs=max_outputs,
-        steps=steps,
-        all_silent_or_converged=all_done,
-    )
 
+    def run_policy(self, config: RunConfig) -> StepPolicy:
+        """The scheduling policy of ``run_many``."""
+        raise NotImplementedError
 
-class PythonEngine:
-    """The scalar reference engine: one trajectory at a time, ``random.Random``.
+    def kinetic_policy(self, config: RunConfig) -> StepPolicy:
+        """The mass-action sampler of ``estimate_expected_output``."""
+        raise NotImplementedError
 
-    Backed by the shared scalar kernel (:mod:`repro.sim.kernel`) through the
-    :class:`~repro.sim.fair.FairScheduler` /
-    :class:`~repro.sim.gillespie.GillespieSimulator` shims, so seeded runs
-    stay bit-for-bit reproducible while populations of 10^4+ remain practical.
-    """
+    def _runs(self, crn, x, config, policy: StepPolicy, quiescence_window: int = 0):
+        for trial_seed in config.trial_seeds():
+            core = SimulatorCore(crn, policy, rng=random.Random(trial_seed))
+            yield core.run_on_input(
+                x, max_steps=config.max_steps, quiescence_window=quiescence_window
+            )
 
     def run_many(self, crn: CRN, x: Sequence[int], config: RunConfig) -> ConvergenceReport:
-        return _aggregate_scalar_trials(
-            crn,
-            x,
-            config,
-            lambda trial_seed: run_to_convergence(
-                crn,
-                x,
-                max_steps=config.max_steps,
-                quiescence_window=config.quiescence_window,
-                rng=random.Random(trial_seed),
-            ),
+        policy = self.run_policy(config)
+        window = _quiescence_window(x, config)
+        results = list(self._runs(crn, x, config, policy, quiescence_window=window))
+        return ConvergenceReport(
+            input_value=tuple(x),
+            outputs=[crn.output_count(r.final_configuration) for r in results],
+            max_outputs=[r.max_output_seen for r in results],
+            steps=[r.steps for r in results],
+            all_silent_or_converged=all(r.silent or r.converged for r in results),
         )
 
     def estimate_expected_output(
         self, crn: CRN, x: Sequence[int], config: RunConfig
     ) -> float:
-        total = 0.0
-        for trial_seed in config.trial_seeds():
-            simulator = GillespieSimulator(crn, rng=random.Random(trial_seed))
-            result = simulator.run_on_input(x, max_steps=config.max_steps)
-            total += crn.output_count(result.final_configuration)
+        results = self._runs(crn, x, config, self.kinetic_policy(config))
+        total = sum((crn.output_count(r.final_configuration) for r in results), 0.0)
         return total / config.trials
 
 
-class VectorizedEngine:
-    """The numpy batch engine (all trials advance simultaneously, one row each)."""
+class BatchEngine:
+    """Adapter shape 2: one numpy batch run advancing every trial at once.
+
+    A subclass supplies two engine factories taking ``(compiled, config)``:
+    :meth:`run_engine` for ``run_many`` and :meth:`kinetic_engine` for
+    ``estimate_expected_output`` (and for the KS samples of
+    :func:`repro.verify.statistical.sample_kinetic_distribution`).  Each
+    trial is one row of the batch; all rows share one numpy random stream
+    seeded from ``config.seed``.
+    """
+
+    def run_engine(self, compiled: CompiledCRN, config: RunConfig):
+        """The batch engine of ``run_many``."""
+        raise NotImplementedError
+
+    def kinetic_engine(self, compiled: CompiledCRN, config: RunConfig):
+        """The batch mass-action sampler of ``estimate_expected_output``."""
+        raise NotImplementedError
 
     def run_many(self, crn: CRN, x: Sequence[int], config: RunConfig) -> ConvergenceReport:
-        from repro.sim.engine import BatchFairEngine
-
-        quiescence_window = config.quiescence_window
-        if quiescence_window is None:
-            quiescence_window = default_quiescence_window(x)
-        batch_engine = BatchFairEngine(crn.compiled(), seed=config.seed)
-        result = batch_engine.run_on_input(
+        result = self.run_engine(crn.compiled(), config).run_on_input(
             x,
             batch=config.trials,
             max_steps=config.max_steps,
-            quiescence_window=quiescence_window,
+            quiescence_window=_quiescence_window(x, config),
         )
         return ConvergenceReport(
             input_value=tuple(int(v) for v in x),
@@ -247,167 +233,73 @@ class VectorizedEngine:
     def estimate_expected_output(
         self, crn: CRN, x: Sequence[int], config: RunConfig
     ) -> float:
-        from repro.sim.engine import BatchGillespieEngine
-
-        batch_engine = BatchGillespieEngine(crn.compiled(), seed=config.seed)
-        result = batch_engine.run_on_input(
+        result = self.kinetic_engine(crn.compiled(), config).run_on_input(
             x, batch=config.trials, max_steps=config.max_steps
         )
         return float(result.output_counts().mean())
 
 
-class NextReactionEngine:
-    """Exact kinetic engine: Gibson–Bruck next-reaction method.
+class PythonEngine(ScalarPolicyEngine):
+    """Fair scheduling for ``run_many``, exact Gillespie for estimates.
 
-    One :class:`~repro.sim.kernel.SimulatorCore` trajectory per trial under
-    :class:`~repro.sim.kernel.NextReactionPolicy`.  Samples the same CTMC as
-    exact Gillespie, but each step repairs only the dependency-graph
-    neighbours of the fired reaction (O(|deps| log R) against the direct
-    method's O(R) scan).  Like ``"tau"``, ``run_many`` samples the *kinetic*
-    process (``supports_fair=False``), and seeded runs are reproducible but
-    on a differently-consumed stream than ``"python"`` — cross-engine
-    agreement is gated by ``tests/test_statistical_equivalence.py``.
+    Seeded runs reproduce the historical dict-backed scalar simulators bit
+    for bit.
     """
 
-    def run_many(self, crn: CRN, x: Sequence[int], config: RunConfig) -> ConvergenceReport:
-        quiescence_window = config.quiescence_window
-        if quiescence_window is None:
-            quiescence_window = default_quiescence_window(x)
-        policy = NextReactionPolicy()
-        return _aggregate_scalar_trials(
-            crn,
-            x,
-            config,
-            lambda trial_seed: SimulatorCore(
-                crn, policy, rng=random.Random(trial_seed)
-            ).run_on_input(
-                x,
-                max_steps=config.max_steps,
-                quiescence_window=quiescence_window,
-            ),
-        )
+    def run_policy(self, config: RunConfig) -> StepPolicy:
+        return FairPolicy()
 
-    def estimate_expected_output(
-        self, crn: CRN, x: Sequence[int], config: RunConfig
-    ) -> float:
-        policy = NextReactionPolicy()
-        total = 0.0
-        for trial_seed in config.trial_seeds():
-            core = SimulatorCore(crn, policy, rng=random.Random(trial_seed))
-            result = core.run_on_input(x, max_steps=config.max_steps)
-            total += crn.output_count(result.final_configuration)
-        return total / config.trials
+    def kinetic_policy(self, config: RunConfig) -> StepPolicy:
+        return GillespiePolicy()
 
 
-class TauLeapEngine:
-    """Approximate kinetic engine: tau-leaping over the scalar kernel.
+class NextReactionEngine(ScalarPolicyEngine):
+    """Exact Gibson–Bruck next-reaction SSA on both entry points.
 
-    One :class:`~repro.sim.kernel.SimulatorCore` trajectory per trial under
-    :class:`~repro.sim.kernel.TauLeapPolicy`, with ``config.epsilon`` as the
-    error knob.  Unlike the ``"python"`` / ``"vectorized"`` fair-scheduler
-    paths, ``run_many`` here samples the *kinetic* process (quiescence is
-    still detected through the shared window mechanism, at leap granularity);
-    both entry points are statistically equivalent to exact Gillespie
-    sampling, which the KS suite in ``tests/test_statistical_equivalence.py``
-    enforces.
+    Samples the same CTMC as the direct method on a differently consumed
+    stream, so agreement with ``"python"`` is distributional (KS-gated).
     """
 
-    def run_many(self, crn: CRN, x: Sequence[int], config: RunConfig) -> ConvergenceReport:
-        quiescence_window = config.quiescence_window
-        if quiescence_window is None:
-            quiescence_window = default_quiescence_window(x)
-        policy = TauLeapPolicy(epsilon=config.epsilon)
-        return _aggregate_scalar_trials(
-            crn,
-            x,
-            config,
-            lambda trial_seed: SimulatorCore(
-                crn, policy, rng=random.Random(trial_seed)
-            ).run_on_input(
-                x,
-                max_steps=config.max_steps,
-                quiescence_window=quiescence_window,
-            ),
-        )
+    def kinetic_policy(self, config: RunConfig) -> StepPolicy:
+        return NextReactionPolicy()
 
-    def estimate_expected_output(
-        self, crn: CRN, x: Sequence[int], config: RunConfig
-    ) -> float:
-        policy = TauLeapPolicy(epsilon=config.epsilon)
-        total = 0.0
-        for trial_seed in config.trial_seeds():
-            core = SimulatorCore(crn, policy, rng=random.Random(trial_seed))
-            result = core.run_on_input(x, max_steps=config.max_steps)
-            total += crn.output_count(result.final_configuration)
-        return total / config.trials
+    run_policy = kinetic_policy
 
 
-class TauVecEngine:
-    """Approximate kinetic engine: batched tau-leaping over dense numpy rows.
+class TauLeapEngine(ScalarPolicyEngine):
+    """Approximate tau-leaping SSA on both entry points, error knob ``config.epsilon``."""
 
-    One :class:`~repro.sim.engine.BatchTauLeapEngine` run advances all trials
-    simultaneously, one Cao–Gillespie–Petzold leap per round, with
-    ``config.epsilon`` as the error knob — the same shared tau-selection
-    math as the scalar ``"tau"`` engine (:mod:`repro.sim.tau`), so the two
-    cannot disagree on the bound.  Like ``"tau"``, ``run_many`` samples the
-    *kinetic* process with quiescence detected at leap granularity; like
-    ``"vectorized"``, trials live on one numpy random stream seeded from
-    ``config.seed``.  Statistical (KS-gated) equivalence to the exact
-    engines is enforced by ``tests/test_statistical_equivalence.py``.
-    """
+    def kinetic_policy(self, config: RunConfig) -> StepPolicy:
+        return TauLeapPolicy(epsilon=config.epsilon)
 
-    def run_many(self, crn: CRN, x: Sequence[int], config: RunConfig) -> ConvergenceReport:
-        from repro.sim.engine import BatchTauLeapEngine
-
-        quiescence_window = config.quiescence_window
-        if quiescence_window is None:
-            quiescence_window = default_quiescence_window(x)
-        batch_engine = BatchTauLeapEngine(
-            crn.compiled(), seed=config.seed, epsilon=config.epsilon
-        )
-        result = batch_engine.run_on_input(
-            x,
-            batch=config.trials,
-            max_steps=config.max_steps,
-            quiescence_window=quiescence_window,
-        )
-        return ConvergenceReport(
-            input_value=tuple(int(v) for v in x),
-            outputs=[int(v) for v in result.output_counts()],
-            max_outputs=[int(v) for v in result.max_output_seen],
-            steps=[int(v) for v in result.steps],
-            all_silent_or_converged=result.all_silent_or_converged(),
-        )
-
-    def estimate_expected_output(
-        self, crn: CRN, x: Sequence[int], config: RunConfig
-    ) -> float:
-        from repro.sim.engine import BatchTauLeapEngine
-
-        batch_engine = BatchTauLeapEngine(
-            crn.compiled(), seed=config.seed, epsilon=config.epsilon
-        )
-        result = batch_engine.run_on_input(
-            x, batch=config.trials, max_steps=config.max_steps
-        )
-        return float(result.output_counts().mean())
+    run_policy = kinetic_policy
 
 
-def register_builtin_engines(names: Optional[Iterable[str]] = None) -> None:
-    """(Re-)register the built-in engines (all of them, or just ``names``).
+class VectorizedEngine(BatchEngine):
+    """Batch fair scheduling for ``run_many``, batch exact Gillespie for estimates."""
 
-    Idempotent (``replace=True``), so module re-execution under
-    ``importlib.reload`` / IPython autoreload is safe, and the registry can
-    restore a built-in that a test unregistered without touching the others.
-    """
-    names = (
-        {"python", "vectorized", "nrm", "tau", "tau-vec"}
-        if names is None
-        else set(names)
-    )
-    if "python" in names:
-        register_engine(
-            "python",
+    def run_engine(self, compiled: CompiledCRN, config: RunConfig) -> BatchFairEngine:
+        return BatchFairEngine(compiled, seed=config.seed)
+
+    def kinetic_engine(self, compiled: CompiledCRN, config: RunConfig) -> BatchGillespieEngine:
+        return BatchGillespieEngine(compiled, seed=config.seed)
+
+
+class TauVecEngine(BatchEngine):
+    """Batched tau-leaping on both entry points, error knob ``config.epsilon``."""
+
+    def kinetic_engine(self, compiled: CompiledCRN, config: RunConfig) -> BatchTauLeapEngine:
+        return BatchTauLeapEngine(compiled, seed=config.seed, epsilon=config.epsilon)
+
+    run_engine = kinetic_engine
+
+
+#: Every built-in engine: name -> (adapter class, capability metadata passed
+#: to :func:`~repro.sim.registry.register_engine`), in registration order.
+BUILTIN_ENGINES: Dict[str, Tuple[type, Dict[str, Any]]] = {
+    "python": (
+        PythonEngine,
+        dict(
             supports_gillespie=True,
             supports_fair=True,
             max_recommended_population=20_000,
@@ -415,11 +307,11 @@ def register_builtin_engines(names: Optional[Iterable[str]] = None) -> None:
                 "Scalar kernel (shared CompiledCRN IR, sparse incremental "
                 "propensities); historical seeded behaviour, bit for bit"
             ),
-            replace=True,
-        )(PythonEngine)
-    if "vectorized" in names:
-        register_engine(
-            "vectorized",
+        ),
+    ),
+    "vectorized": (
+        VectorizedEngine,
+        dict(
             supports_gillespie=True,
             supports_fair=True,
             max_recommended_population=None,
@@ -428,11 +320,11 @@ def register_builtin_engines(names: Optional[Iterable[str]] = None) -> None:
                 "numpy batch engines advancing all trials per step; "
                 "reproducible but on a numpy random stream"
             ),
-            replace=True,
-        )(VectorizedEngine)
-    if "nrm" in names:
-        register_engine(
-            "nrm",
+        ),
+    ),
+    "nrm": (
+        NextReactionEngine,
+        dict(
             supports_gillespie=True,
             supports_fair=False,
             max_recommended_population=20_000,
@@ -441,11 +333,11 @@ def register_builtin_engines(names: Optional[Iterable[str]] = None) -> None:
                 "putative firing times, dependency-graph clock repair); exact, "
                 "O(|deps| log R) per step, kinetic scheduling only"
             ),
-            replace=True,
-        )(NextReactionEngine)
-    if "tau" in names:
-        register_engine(
-            "tau",
+        ),
+    ),
+    "tau": (
+        TauLeapEngine,
+        dict(
             supports_gillespie=True,
             supports_fair=False,
             max_recommended_population=None,
@@ -456,11 +348,11 @@ def register_builtin_engines(names: Optional[Iterable[str]] = None) -> None:
                 "Poisson firing batches, exact fallback); error knob "
                 "RunConfig.epsilon, statistically equivalent to exact engines"
             ),
-            replace=True,
-        )(TauLeapEngine)
-    if "tau-vec" in names:
-        register_engine(
-            "tau-vec",
+        ),
+    ),
+    "tau-vec": (
+        TauVecEngine,
+        dict(
             supports_gillespie=True,
             supports_fair=False,
             max_recommended_population=None,
@@ -473,8 +365,22 @@ def register_builtin_engines(names: Optional[Iterable[str]] = None) -> None:
                 "Poisson firings, per-trial exact fallback); error knob "
                 "RunConfig.epsilon, statistically equivalent to exact engines"
             ),
-            replace=True,
-        )(TauVecEngine)
+        ),
+    ),
+}
+
+
+def register_builtin_engines(names: Optional[Iterable[str]] = None) -> None:
+    """(Re-)register the built-in engines (all of them, or just ``names``).
+
+    Idempotent (``replace=True``), so module re-execution under
+    ``importlib.reload`` / IPython autoreload is safe, and the registry can
+    restore a built-in that a test unregistered without touching the others.
+    """
+    wanted = set(BUILTIN_ENGINES if names is None else names)
+    for name, (cls, metadata) in BUILTIN_ENGINES.items():
+        if name in wanted:
+            register_engine(name, replace=True, **metadata)(cls)
 
 
 register_builtin_engines()

@@ -17,11 +17,10 @@ contract's toolkit:
   manufactured by discreteness, and the deliberately-biased-engine tests in
   ``tests/test_statistical_equivalence.py`` show the power that remains.
 * :func:`sample_kinetic_distribution` — one seeded sample of per-trajectory
-  completion step counts and final output counts for a CRN under a named
-  kinetic sampler (``"python"`` exact scalar, ``"vectorized"`` exact batch,
-  ``"nrm"`` exact next-reaction method, ``"tau"`` tau-leaping, ``"tau-vec"``
-  batched tau-leaping, or any bound
-  :class:`~repro.sim.kernel.StepPolicy`).
+  completion step counts and final output counts for a CRN under the
+  kinetic sampler of a registered engine (the policy or batch engine that
+  :data:`repro.sim.runner.BUILTIN_ENGINES` maps each built-in name to), or
+  under any :class:`~repro.sim.kernel.StepPolicy`.
   All samplers target the same CTMC, so their step/output distributions must
   agree up to sampling noise.
 * :func:`assert_distributions_match` — the gate: KS-test a metric between two
@@ -43,16 +42,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
+from repro.api.config import RunConfig
 from repro.crn.network import CRN
-from repro.sim.kernel import (
-    GillespiePolicy,
-    NextReactionPolicy,
-    SimulatorCore,
-    StepPolicy,
-    TauLeapPolicy,
-)
+from repro.sim.kernel import SimulatorCore, StepPolicy
+from repro.sim.registry import get_engine
 
 __all__ = [
     "KSResult",
@@ -187,17 +182,17 @@ def sample_kinetic_distribution(
     Parameters
     ----------
     engine:
-        ``"python"`` (exact scalar kernel), ``"nrm"`` (exact Gibson–Bruck
-        next-reaction method), ``"tau"`` (tau-leaping with ``epsilon``),
-        ``"vectorized"`` (exact numpy batch engine), ``"tau-vec"`` (batched
-        tau-leaping with ``epsilon``), or a
+        A registered engine name, sampled through its adapter's kinetic
+        factory: ``kinetic_policy`` for a scalar adapter, ``kinetic_engine``
+        for a batch one (every built-in has one; ``epsilon`` reaches the
+        approximate ones through the config).  Or a
         :class:`~repro.sim.kernel.StepPolicy` instance to sample an arbitrary
         — e.g. deliberately biased — scalar policy.
     n_seeds / base_seed:
         The fixed seed matrix: scalar trajectories use seeds ``base_seed + i``
-        for ``i < n_seeds``; the vectorized engine runs one ``n_seeds``-row
-        batch seeded with ``base_seed``.  Fixed seeds make the gates
-        deterministic in CI.
+        for ``i < n_seeds``; a batch engine runs one ``n_seeds``-row batch
+        seeded with ``base_seed``.  Fixed seeds make the gates deterministic
+        in CI.
     quiescence_window:
         Optional kinetic quiescence detection for CRNs that never fall
         silent (scalar samplers only — the batch engines are sampled on a
@@ -207,53 +202,39 @@ def sample_kinetic_distribution(
     if n_seeds < 2:
         raise ValueError(f"n_seeds must be >= 2 for a distribution, got {n_seeds}")
     if isinstance(engine, StepPolicy):
-        policy: Optional[StepPolicy] = engine
-        label = type(engine).__name__
-    elif engine == "python":
-        policy = GillespiePolicy()
-        label = "python"
-    elif engine == "nrm":
-        policy = NextReactionPolicy()
-        label = "nrm"
-    elif engine == "tau":
-        policy = TauLeapPolicy(epsilon=epsilon)
-        label = "tau"
-    elif engine == "vectorized":
-        policy = None
-        label = "vectorized"
-    elif engine == "tau-vec":
-        policy = None
-        label = "tau-vec"
+        policy = engine
+        sample = DistributionSample(engine=type(engine).__name__)
     else:
-        raise ValueError(
-            f"unknown kinetic sampler {engine!r}; expected 'python', "
-            f"'vectorized', 'nrm', 'tau', 'tau-vec', or a StepPolicy instance"
+        adapter = get_engine(engine).implementation
+        config = RunConfig(
+            trials=n_seeds,
+            max_steps=max_steps,
+            seed=base_seed,
+            engine=engine,
+            epsilon=epsilon,
         )
-
-    sample = DistributionSample(engine=label)
-    if policy is None:
-        if quiescence_window:
+        sample = DistributionSample(engine=engine)
+        if hasattr(adapter, "kinetic_engine"):
+            if quiescence_window:
+                raise ValueError(
+                    "batch engines are sampled on a max_steps budget here "
+                    "(quiescence_window=0) so every engine sees the identical "
+                    "stopping rule; drop quiescence_window for cross-engine "
+                    "sampling"
+                )
+            batch_engine = adapter.kinetic_engine(crn.compiled(), config)
+            result = batch_engine.run_on_input(x, batch=n_seeds, max_steps=max_steps)
+            sample.steps = [int(v) for v in result.steps]
+            sample.outputs = [int(v) for v in result.output_counts()]
+            sample.all_completed = bool(result.silent.all())
+            return sample
+        if not hasattr(adapter, "kinetic_policy"):
             raise ValueError(
-                "batch engines are sampled on a max_steps budget here "
-                "(quiescence_window=0) so every engine sees the identical "
-                "stopping rule; drop quiescence_window for cross-engine "
-                "sampling"
+                f"engine {engine!r} exposes no kinetic sampler (neither a "
+                f"kinetic_policy nor a kinetic_engine factory); pass a "
+                f"StepPolicy instance to sample it"
             )
-        if label == "tau-vec":
-            from repro.sim.engine import BatchTauLeapEngine
-
-            batch_engine = BatchTauLeapEngine(
-                crn.compiled(), seed=base_seed, epsilon=epsilon
-            )
-        else:
-            from repro.sim.engine import BatchGillespieEngine
-
-            batch_engine = BatchGillespieEngine(crn.compiled(), seed=base_seed)
-        result = batch_engine.run_on_input(x, batch=n_seeds, max_steps=max_steps)
-        sample.steps = [int(v) for v in result.steps]
-        sample.outputs = [int(v) for v in result.output_counts()]
-        sample.all_completed = bool(result.silent.all())
-        return sample
+        policy = adapter.kinetic_policy(config)
 
     for i in range(n_seeds):
         core = SimulatorCore(crn, policy, rng=random.Random(base_seed + i))

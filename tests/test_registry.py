@@ -1,5 +1,8 @@
 """Engine registry: registration, capability metadata, and dynamic dispatch."""
 
+import json
+import os
+
 import pytest
 
 from repro.api.config import RunConfig
@@ -170,6 +173,15 @@ class TestRegistryDispatch:
         assert report.passed
         assert report.results[0].observed_outputs[0] == 42
 
+    def test_kinetic_sampling_needs_a_kinetic_factory(self, dummy_engine):
+        from repro.verify.statistical import sample_kinetic_distribution
+
+        crn = minimum_spec().known_crn
+        with pytest.raises(ValueError, match="exposes no kinetic sampler"):
+            sample_kinetic_distribution(crn, (2, 2), engine="dummy", n_seeds=2)
+        with pytest.raises(ValueError, match="registered engines"):
+            sample_kinetic_distribution(crn, (2, 2), engine="gone", n_seeds=2)
+
     def test_unregistered_engine_fails_at_dispatch(self):
         crn = minimum_spec().known_crn
         with pytest.raises(ValueError, match="registered engines"):
@@ -272,3 +284,150 @@ class TestBackCompat:
             register_builtin_engines()
         assert get_engine("vectorized").implementation is not dummy_engine
         assert type(get_engine("vectorized").implementation) is type(original_vectorized)
+
+
+# ---------------------------------------------------------------------------
+# Golden values for every built-in engine on both entry points
+# ---------------------------------------------------------------------------
+
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "engine_adapter_golden.json")
+GOLDEN_ENGINES = ("python", "vectorized", "nrm", "tau", "tau-vec")
+GOLDEN_SEEDS = (1, 17)
+
+
+def _golden_cases():
+    """label -> (crn, input, max_steps) for the Fig. 1 CRNs and the R=38 construction.
+
+    ``minimum`` runs to silence.  The other two stop at ``max_steps``, part
+    way to silence, so their outputs depend on every draw of the stream.
+    """
+    from repro.core.characterization import build_crn_for
+    from repro.functions.catalog import maximum_spec
+    from repro.functions.extended import weighted_floor_spec
+
+    return {
+        "minimum": (minimum_spec().known_crn, (5, 8), 20_000),
+        "maximum": (maximum_spec().known_crn, (300, 200), 400),
+        "weighted_floor": (
+            build_crn_for(weighted_floor_spec(), strategy="general"),
+            (40, 30),
+            120,
+        ),
+    }
+
+
+def golden_observation(engine, case, seed):
+    """Everything the adapters emit for one (engine, construction, seed) cell.
+
+    The ``run_many`` report fields, the exact ``repr`` of the estimate, and
+    the ``sample_kinetic_distribution`` sample, in JSON-comparable form.
+    """
+    from repro.verify.statistical import sample_kinetic_distribution
+
+    crn, x, max_steps = _golden_cases()[case]
+    config = RunConfig(trials=3, max_steps=max_steps, seed=seed, engine=engine)
+    report = run_many(crn, x, config=config)
+    estimate = estimate_expected_output(crn, x, config=config)
+    sample = sample_kinetic_distribution(
+        crn, x, engine=engine, n_seeds=3, base_seed=seed, max_steps=max_steps
+    )
+    return {
+        "report": {
+            "input_value": list(report.input_value),
+            "outputs": report.outputs,
+            "max_outputs": report.max_outputs,
+            "steps": report.steps,
+            "all_silent_or_converged": report.all_silent_or_converged,
+        },
+        "estimate": repr(estimate),
+        "sample": {
+            "engine": sample.engine,
+            "steps": sample.steps,
+            "outputs": sample.outputs,
+            "all_completed": sample.all_completed,
+        },
+    }
+
+
+def golden_key(engine, case, seed):
+    return f"{engine}/{case}/{seed}"
+
+
+def build_golden():
+    """The full golden table, as written to ``GOLDEN_PATH``.
+
+    Rewrite the fixture only for an intended change of a seeded stream::
+
+        PYTHONPATH=src:. python -c "import json, tests.test_registry as t; \\
+            json.dump(t.build_golden(), open(t.GOLDEN_PATH, 'w'), indent=1, sort_keys=True)"
+    """
+    return {
+        golden_key(engine, case, seed): golden_observation(engine, case, seed)
+        for engine in GOLDEN_ENGINES
+        for case in ("minimum", "maximum", "weighted_floor")
+        for seed in GOLDEN_SEEDS
+    }
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(GOLDEN_PATH) as handle:
+        return json.load(handle)
+
+
+class TestBuiltinEngineGolden:
+    """Seeded outputs of every built-in engine, pinned byte for byte.
+
+    Captured before the engine adapters were collapsed into
+    ``ScalarPolicyEngine`` / ``BatchEngine``: the adapter shape may change,
+    what each engine computes may not.
+    """
+
+    @pytest.mark.parametrize("seed", GOLDEN_SEEDS)
+    @pytest.mark.parametrize("case", ["minimum", "maximum", "weighted_floor"])
+    @pytest.mark.parametrize("engine", GOLDEN_ENGINES)
+    def test_engine_matches_golden(self, golden, engine, case, seed):
+        observed = json.loads(json.dumps(golden_observation(engine, case, seed)))
+        assert observed == golden[golden_key(engine, case, seed)]
+
+    def test_golden_covers_every_builtin(self):
+        from repro.sim.runner import BUILTIN_ENGINES
+
+        assert set(GOLDEN_ENGINES) == set(BUILTIN_ENGINES)
+
+
+class TestPerEngineTracingContract:
+    """Wrapping one named adapter class's ``run_many`` traces that engine only.
+
+    ``perfbench/tracing.py`` records per-engine spans by replacing
+    ``run_many`` on each named adapter class.  That breaks if two built-ins
+    share one ``run_many`` slot, or if a bare base-class instance is
+    registered instead of the named subclass.
+    """
+
+    @pytest.mark.parametrize(
+        "engine, class_name",
+        [
+            ("python", "PythonEngine"),
+            ("vectorized", "VectorizedEngine"),
+            ("nrm", "NextReactionEngine"),
+            ("tau", "TauLeapEngine"),
+            ("tau-vec", "TauVecEngine"),
+        ],
+    )
+    def test_class_wrapper_sees_only_its_engine(self, monkeypatch, engine, class_name):
+        from repro.sim import runner
+
+        cls = getattr(runner, class_name)
+        original = cls.run_many
+        calls = []
+
+        def wrapper(self, crn, x, config):
+            calls.append(config.engine)
+            return original(self, crn, x, config)
+
+        monkeypatch.setattr(cls, "run_many", wrapper)
+        crn = minimum_spec().known_crn
+        for name in GOLDEN_ENGINES:
+            run_many(crn, (2, 3), config=RunConfig(trials=2, seed=5, engine=name))
+        assert calls == [engine]

@@ -20,6 +20,7 @@ from repro.core.characterization import build_crn_for
 from repro.crn.reachability import check_stable_computation_at
 from repro.functions.catalog import minimum_spec
 from repro.functions.extended import weighted_floor_spec
+from repro.functions.paper_examples import fig4a_style_spec
 from repro.sim._reference import ReferenceGillespieSimulator
 from repro.sim.engine import BatchFairEngine, BatchGillespieEngine, BatchTauLeapEngine
 from repro.sim.fair import FairScheduler
@@ -119,6 +120,41 @@ def test_batch_fair_throughput(benchmark, bench_record, population):
         mean_seconds(benchmark),
         result.total_steps(),
         batch=BATCH,
+    )
+
+
+@pytest.mark.parametrize(
+    "record, engine_cls, spec_factory, x",
+    [
+        ("batch/fair/weighted_floor", BatchFairEngine, weighted_floor_spec, (400, 300)),
+        ("batch/gillespie/fig4a_style", BatchGillespieEngine, fig4a_style_spec, (60, 50)),
+    ],
+)
+def test_batch_throughput_on_general_construction(
+    benchmark, bench_record, record, engine_cls, spec_factory, x
+):
+    """Batch events/s on Lemma 6.2 constructions (R=38 and R=132, up to 3X).
+
+    The ``minimum`` records above run a one-reaction network, where the batch
+    kinetics are trivial; these two put the per-step kinetics of a paper
+    construction under the ``batch`` family of the regression guard.
+    """
+    spec = spec_factory()
+    compiled = build_crn_for(spec, strategy="general").compiled()
+
+    def run():
+        return engine_cls(compiled, seed=1).run_on_input(x, batch=BATCH)
+
+    result = benchmark.pedantic(run, rounds=3, iterations=1)
+    assert result.silent.all()
+    assert (result.output_counts() == spec.func(x)).all()
+    bench_record(
+        record,
+        sum(x),
+        mean_seconds(benchmark),
+        result.total_steps(),
+        batch=BATCH,
+        reactions=compiled.n_reactions,
     )
 
 

@@ -110,10 +110,14 @@ def cell_from_dict(data: Dict[str, Any]) -> Cell:
     )
 
 
+#: Name prefix of the temporary file an unfinished atomic write leaves behind.
+_TMP_PREFIX = ".tmp-"
+
+
 def _atomic_write_json(path: str, payload: Dict[str, Any]) -> None:
     directory = os.path.dirname(path) or "."
     handle = tempfile.NamedTemporaryFile(
-        "w", encoding="utf-8", dir=directory, prefix=".tmp-", delete=False
+        "w", encoding="utf-8", dir=directory, prefix=_TMP_PREFIX, delete=False
     )
     try:
         with handle:
@@ -398,7 +402,8 @@ class SharedDirQueue(WorkQueue):
     # -- coordinator / merge side ------------------------------------------
 
     def done_ids(self) -> Set[str]:
-        return set(self._list("done"))
+        """Cells with a done marker; an in-flight marker write is not one."""
+        return {name for name in self._list("done") if not name.startswith(_TMP_PREFIX)}
 
     def all_done(self, wanted: Optional[Set[str]] = None) -> bool:
         if wanted is None:

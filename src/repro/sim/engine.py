@@ -12,7 +12,8 @@ This module trades the sparse dict representation for a dense one:
 * :class:`CompiledCRN` compiles a :class:`~repro.crn.network.CRN` once into
   reactant / product / net stoichiometry matrices (R x S integer arrays over a
   fixed species ordering) plus the rate vector, output-species index,
-  per-reaction sparse term lists, and the reaction dependency graph.  It is
+  per-reaction sparse term lists, the padded reactant-slot table the batch
+  kinetics gather through, and the reaction dependency graph.  It is
   the single IR shared with the scalar kernel (:mod:`repro.sim.kernel`).
 * :class:`BatchGillespieEngine` advances ``B`` independent Gillespie
   trajectories simultaneously: propensities are computed as a ``(B, R)``
@@ -70,6 +71,12 @@ class CompiledCRN:
         each reaction's own ``reactants.counts`` iteration order so the scalar
         kernel reproduces :meth:`repro.crn.reaction.Reaction.propensity`
         bit for bit (float multiplication is not associative).
+    ``slot_species`` / ``slot_coef``
+        The reactant side as a padded ``(R, K)`` slot table, ``K`` the most
+        distinct reactant species of any reaction: row ``r`` holds reaction
+        ``r``'s reactant species in index order and their coefficients, and
+        pad slots point at species 0 with coefficient 0.  The batch kinetics
+        gather through it in a fixed number of whole-matrix operations.
     ``net_terms``
         Per-reaction sparse ``(species_index, delta)`` net-change lists; firing
         a reaction is ``counts[s] += delta`` over its terms.
@@ -106,16 +113,30 @@ class CompiledCRN:
         self.output_index = self.index[crn.output_species]
         # Per-reaction sparse term lists.  ``reactant_terms`` preserves the
         # reaction's own dict order (the order Reaction.propensity multiplies
-        # in); ``_terms`` is the same content sorted by species index, used by
-        # the batch engines, which is much cheaper than broadcasting full
-        # (B, R, S) intermediates.
+        # in); the slot table below holds the same content sorted by species
+        # index for the batch kinetics.
         self.reactant_terms: Tuple[Tuple[Tuple[int, int], ...], ...] = tuple(
             tuple((self.index[sp], count) for sp, count in rxn.reactants.counts.items())
             for rxn in crn.reactions
         )
-        self._terms: List[Tuple[Tuple[int, int], ...]] = [
-            tuple(sorted(terms)) for terms in self.reactant_terms
-        ]
+        width = max((len(terms) for terms in self.reactant_terms), default=0)
+        self.slot_species = np.zeros((n_reactions, width), dtype=np.intp)
+        self.slot_coef = np.zeros((n_reactions, width), dtype=np.int64)
+        for r, terms in enumerate(self.reactant_terms):
+            for k, (s, coefficient) in enumerate(sorted(terms)):
+                self.slot_species[r, k] = s
+                self.slot_coef[r, k] = coefficient
+        self._gather = self.slot_species.T.ravel()
+        self._coef_by_slot = np.ascontiguousarray(self.slot_coef.T)
+        # The falling-factorial factors of C(n, c): slot k contributes
+        # (n - j) / (j + 1) for every j < c.  Only j below the column's largest
+        # coefficient is listed, so no mask is all False; ``None`` marks a
+        # factor every reaction takes.
+        self._factors: List[Tuple[int, int, Optional[np.ndarray]]] = []
+        for k in range(width):
+            for j in range(int(self.slot_coef[:, k].max())):
+                mask = self.slot_coef[:, k] > j
+                self._factors.append((k, j, None if mask.all() else mask))
         self.net_terms: Tuple[Tuple[Tuple[int, int], ...], ...] = tuple(
             tuple(
                 (s, int(self.net[r, s])) for s in np.flatnonzero(self.net[r]).tolist()
@@ -177,29 +198,37 @@ class CompiledCRN:
         same binomial-coefficient form as
         :meth:`repro.crn.reaction.Reaction.propensity`, zero whenever a
         reactant is under-supplied.
+
+        One gather through the slot table, then one whole-matrix multiply per
+        falling-factorial factor.  Each reaction meets its factors in species
+        order, ``j`` ascending, exactly as a per-reaction loop would; a pad
+        or finished slot multiplies by an exact ``1.0``.
         """
         counts = np.atleast_2d(counts)
-        out = np.broadcast_to(self.rates, (counts.shape[0], self.n_reactions)).copy()
-        for r, terms in enumerate(self._terms):
-            for s, coefficient in terms:
-                n = counts[:, s].astype(np.float64)
-                if coefficient == 1:
-                    out[:, r] *= n
-                else:
-                    # Falling-factorial form of C(n, k); hits an exact zero
-                    # factor whenever n < k, so no clamping is needed.
-                    for j in range(coefficient):
-                        out[:, r] *= (n - j) / (j + 1)
+        n = self._gathered(counts.astype(np.float64))
+        out = np.empty((counts.shape[0], self.n_reactions))
+        out[...] = self.rates
+        for k, j, mask in self._factors:
+            # (n - 0) / 1 == n exactly, so j == 0 needs no arithmetic.  The
+            # falling factorial hits an exact zero whenever n < c.
+            factor = n[:, k] if j == 0 else (n[:, k] - j) / (j + 1)
+            out *= factor if mask is None else np.where(mask, factor, 1.0)
         return out
 
     def applicable(self, counts: np.ndarray) -> np.ndarray:
         """Boolean ``(B, R)`` applicability matrix (all reactants present)."""
         counts = np.atleast_2d(counts)
-        out = np.ones((counts.shape[0], self.n_reactions), dtype=bool)
-        for r, terms in enumerate(self._terms):
-            for s, coefficient in terms:
-                out[:, r] &= counts[:, s] >= coefficient
-        return out
+        return (self._gathered(counts) >= self._coef_by_slot).all(axis=1)
+
+    def _gathered(self, counts: np.ndarray) -> np.ndarray:
+        """``counts[:, slot_species]``, slot-major: a C-ordered ``(B, K, R)``.
+
+        Slot ``k`` of every reaction is one contiguous ``(B, R)`` block.  A
+        1-D gather then a reshape: the 2-D fancy index would hand back a
+        strided result that every later whole-matrix operation pays for.
+        """
+        shape = (counts.shape[0], self.slot_species.shape[1], self.n_reactions)
+        return counts[:, self._gather].reshape(shape)
 
     def __repr__(self) -> str:
         return (
@@ -218,9 +247,10 @@ class BatchRunResult:
     (Gillespie and tau-leap) and ``converged`` only by the engines with a
     quiescence detector (fair and tau-leap); the fields are all-False /
     ``None`` otherwise.  ``stats`` is the uniform whole-batch
-    :class:`~repro.obs.stats.RunStats` block, currently populated by the
-    tau-leap engine (``None`` for the single-firing engines, whose counters
-    are derivable from ``steps``).
+    :class:`~repro.obs.stats.RunStats` block, filled by every batch engine:
+    ``selections`` counts loop iterations (one single-firing step or one
+    leap round for the whole batch), ``propensity_ops`` counts rows × R per
+    kinetics evaluation, and ``rng_draws`` counts the values drawn.
     """
 
     compiled: CompiledCRN
@@ -262,7 +292,7 @@ class BatchRunResult:
 
 
 class _BatchEngineBase:
-    """Shared compilation / seeding plumbing for the batch engines."""
+    """Shared compilation, seeding and exact-SSA-step plumbing for the batch engines."""
 
     def __init__(
         self,
@@ -278,6 +308,68 @@ class _BatchEngineBase:
 
     def _initial_counts(self, initial: Configuration, batch: int) -> np.ndarray:
         return self.compiled.encode_batch(initial, batch)
+
+    def run_on_input(self, x: Sequence[int], batch: int = 1, **kwargs) -> BatchRunResult:
+        """Advance ``batch`` trajectories from the initial configuration for ``x``."""
+        return self.run(self.crn.initial_configuration(x), batch=batch, **kwargs)
+
+    def _exact_ssa_step(
+        self,
+        counts: np.ndarray,
+        times: np.ndarray,
+        rows: np.ndarray,
+        max_time: float,
+        stats: RunStats,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """One Gillespie direct-method step for each trajectory in ``rows``.
+
+        The inner loop of :class:`BatchGillespieEngine` and of the
+        :class:`BatchTauLeapEngine` exact bursts.  Mutates ``counts`` /
+        ``times`` in place and returns ``(fired, went_silent)`` masks aligned
+        to ``rows``; a row that is neither had its next event land past
+        ``max_time`` and its clock clamped to ``max_time``.  Draws one
+        exponential wait per live row, then one uniform pick per row still
+        inside the horizon.
+        """
+        cumulative = np.cumsum(self.compiled.propensities(counts[rows]), axis=1)
+        stats.propensity_ops += cumulative.size
+        # Totals are read off the cumulative sum so the inverse-CDF search
+        # below can never run past the last column (a separate sum() can
+        # disagree with cumsum by an ulp).
+        totals = cumulative[:, -1]
+        alive = totals > 0.0
+        went_silent = ~alive
+        fired = np.zeros(rows.size, dtype=bool)
+        live = np.flatnonzero(alive)
+        if live.size == 0:
+            return fired, went_silent
+        cumulative = cumulative[live]
+        totals = totals[live]
+
+        waits = self.rng.standard_exponential(live.size) / totals
+        stats.rng_draws += live.size
+        new_times = times[rows[live]] + waits
+        overtime = new_times > max_time
+        if overtime.any():
+            times[rows[live[overtime]]] = max_time
+            live = live[~overtime]
+            if live.size == 0:
+                return fired, went_silent
+            cumulative = cumulative[~overtime]
+            totals = totals[~overtime]
+            new_times = new_times[~overtime]
+
+        # Picks are drawn from (0, total]; counting the cumulative entries
+        # strictly below the pick therefore always lands on a reaction
+        # with positive propensity (never a leading zero column, never
+        # past the end), mirroring the scalar simulator's guard.
+        picks = (1.0 - self.rng.random(live.size)) * totals
+        stats.rng_draws += live.size
+        chosen = (cumulative < picks[:, None]).sum(axis=1)
+        counts[rows[live]] += self.compiled.net[chosen]
+        times[rows[live]] = new_times
+        fired[live] = True
+        return fired, went_silent
 
 
 class BatchGillespieEngine(_BatchEngineBase):
@@ -311,6 +403,7 @@ class BatchGillespieEngine(_BatchEngineBase):
         (its clock is then clamped to ``max_time``, mirroring the scalar
         simulator).
         """
+        t0 = _time.perf_counter()
         compiled = self.compiled
         counts = self._initial_counts(initial, batch)
         steps = np.zeros(batch, dtype=np.int64)
@@ -321,56 +414,28 @@ class BatchGillespieEngine(_BatchEngineBase):
         # simulator's behaviour); the selection math below assumes R >= 1.
         active = np.full(batch, compiled.n_reactions > 0)
         silent |= ~active
+        stats = RunStats()
 
         while True:
             rows = np.flatnonzero(active)
             if rows.size == 0:
                 break
-            cumulative = np.cumsum(compiled.propensities(counts[rows]), axis=1)
-            # Totals are read off the cumulative sum so the inverse-CDF search
-            # below can never run past the last column (a separate sum() can
-            # disagree with cumsum by an ulp).
-            totals = cumulative[:, -1]
-            alive = totals > 0.0
-            newly_silent = rows[~alive]
-            silent[newly_silent] = True
-            active[newly_silent] = False
-            rows = rows[alive]
-            if rows.size == 0:
-                continue
-            cumulative = cumulative[alive]
-            totals = totals[alive]
-
-            waits = self.rng.standard_exponential(rows.size) / totals
-            new_times = times[rows] + waits
-            overtime = new_times > max_time
-            if overtime.any():
-                timed_out = rows[overtime]
-                times[timed_out] = max_time
-                active[timed_out] = False
-                rows = rows[~overtime]
-                if rows.size == 0:
-                    continue
-                cumulative = cumulative[~overtime]
-                totals = totals[~overtime]
-                new_times = new_times[~overtime]
-
-            # Picks are drawn from (0, total]; counting the cumulative entries
-            # strictly below the pick therefore always lands on a reaction
-            # with positive propensity (never a leading zero column, never
-            # past the end), mirroring the scalar simulator's guard.
-            picks = (1.0 - self.rng.random(rows.size)) * totals
-            chosen = (cumulative < picks[:, None]).sum(axis=1)
-
-            counts[rows] += compiled.net[chosen]
+            stats.selections += 1
+            fired, went_silent = self._exact_ssa_step(
+                counts, times, rows, max_time, stats
+            )
+            silent[rows[went_silent]] = True
+            active[rows[~fired]] = False
+            rows = rows[fired]
             steps[rows] += 1
-            times[rows] = new_times
             max_output[rows] = np.maximum(
                 max_output[rows], counts[rows, compiled.output_index]
             )
             exhausted = rows[steps[rows] >= max_steps]
             active[exhausted] = False
 
+        stats.events = int(steps.sum())
+        stats.wall_s = _time.perf_counter() - t0
         return BatchRunResult(
             compiled=compiled,
             counts=counts,
@@ -379,11 +444,8 @@ class BatchGillespieEngine(_BatchEngineBase):
             converged=np.zeros(batch, dtype=bool),
             max_output_seen=max_output,
             times=times,
+            stats=stats,
         )
-
-    def run_on_input(self, x: Sequence[int], batch: int = 1, **kwargs) -> BatchRunResult:
-        """Advance ``batch`` trajectories from the initial configuration for ``x``."""
-        return self.run(self.crn.initial_configuration(x), batch=batch, **kwargs)
 
 
 class BatchTauLeapEngine(_BatchEngineBase):
@@ -578,14 +640,16 @@ class BatchTauLeapEngine(_BatchEngineBase):
 
             # --- exact fallback: single-firing SSA bursts for critical rows ---
             burst = np.flatnonzero(crit)
-            if burst.size:
-                burst_events, burst_silent, burst_timed = self._exact_burst_rows(
+            for _ in range(self.exact_burst):
+                if burst.size == 0:
+                    break
+                fired, went_silent = self._exact_ssa_step(
                     counts, times, rows[burst], max_time, stats
                 )
-                events[burst] = burst_events
-                silent[rows[burst[burst_silent]]] = True
-                active[rows[burst[burst_silent]]] = False
-                active[rows[burst[burst_timed]]] = False
+                silent[rows[burst[went_silent]]] = True
+                active[rows[burst[~fired]]] = False
+                burst = burst[fired]
+                events[burst] += 1
 
             # --- per-round bookkeeping, at leap granularity like the scalar ---
             steps[rows] += events
@@ -624,72 +688,6 @@ class BatchTauLeapEngine(_BatchEngineBase):
             times=times,
             stats=stats,
         )
-
-    def _exact_burst_rows(
-        self,
-        counts: np.ndarray,
-        times: np.ndarray,
-        sub_rows: np.ndarray,
-        max_time: float,
-        stats: RunStats,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Up to ``exact_burst`` vectorized exact SSA steps over ``sub_rows``.
-
-        Mutates ``counts`` / ``times`` in place for the rows it advances and
-        returns ``(events, went_silent, timed_out)`` aligned to ``sub_rows``.
-        This is the :class:`BatchGillespieEngine` inner loop restricted to
-        the critical subset: cumulative-propensity inverse-CDF selection, one
-        firing per row per iteration.
-        """
-        compiled = self.compiled
-        events = np.zeros(sub_rows.size, dtype=np.int64)
-        went_silent = np.zeros(sub_rows.size, dtype=bool)
-        timed_out = np.zeros(sub_rows.size, dtype=bool)
-        live = np.ones(sub_rows.size, dtype=bool)
-        for _ in range(self.exact_burst):
-            idx = np.flatnonzero(live)
-            if idx.size == 0:
-                break
-            rows = sub_rows[idx]
-            cumulative = np.cumsum(compiled.propensities(counts[rows]), axis=1)
-            stats.propensity_ops += cumulative.size
-            totals = cumulative[:, -1]
-            dead = totals <= 0.0
-            if dead.any():
-                went_silent[idx[dead]] = True
-                live[idx[dead]] = False
-                idx = idx[~dead]
-                rows = sub_rows[idx]
-                if rows.size == 0:
-                    break
-                cumulative = cumulative[~dead]
-                totals = totals[~dead]
-            waits = self.rng.standard_exponential(rows.size) / totals
-            stats.rng_draws += rows.size
-            new_times = times[rows] + waits
-            over = new_times > max_time
-            if over.any():
-                times[rows[over]] = max_time
-                timed_out[idx[over]] = True
-                live[idx[over]] = False
-                idx = idx[~over]
-                rows = sub_rows[idx]
-                if rows.size == 0:
-                    continue
-                cumulative = cumulative[~over]
-                totals = totals[~over]
-                new_times = new_times[~over]
-            picks = (1.0 - self.rng.random(rows.size)) * totals
-            stats.rng_draws += rows.size
-            chosen = (cumulative < picks[:, None]).sum(axis=1)
-            counts[rows] += compiled.net[chosen]
-            times[rows] = new_times
-            events[idx] += 1
-        return events, went_silent, timed_out
-
-    def run_on_input(self, x: Sequence[int], batch: int = 1, **kwargs) -> BatchRunResult:
-        """Advance ``batch`` trajectories from the initial configuration for ``x``."""
-        return self.run(self.crn.initial_configuration(x), batch=batch, **kwargs)
 
 
 class BatchFairEngine(_BatchEngineBase):
@@ -745,6 +743,7 @@ class BatchFairEngine(_BatchEngineBase):
         if positive, a row stops (``converged``) once its output count has been
         unchanged for that many consecutive steps.
         """
+        t0 = _time.perf_counter()
         compiled = self.compiled
         counts = self._initial_counts(initial, batch)
         steps = np.zeros(batch, dtype=np.int64)
@@ -757,12 +756,15 @@ class BatchFairEngine(_BatchEngineBase):
         # As in the Gillespie engine: no reactions means silent everywhere.
         active = np.full(batch, compiled.n_reactions > 0)
         silent |= ~active
+        stats = RunStats()
 
         while True:
             rows = np.flatnonzero(active)
             if rows.size == 0:
                 break
+            stats.selections += 1
             applicable = compiled.applicable(counts[rows])
+            stats.propensity_ops += applicable.size
             weighted = applicable * self.weights
             # Rows where the bias zeroes out every applicable reaction fall
             # back to the uniform choice, like the scalar scheduler.
@@ -784,6 +786,7 @@ class BatchFairEngine(_BatchEngineBase):
             # (0, total] picks against the cumulative weights: never selects a
             # zero-weight (inapplicable) reaction and never runs past the end.
             picks = (1.0 - self.rng.random(rows.size)) * totals
+            stats.rng_draws += rows.size
             chosen = (cumulative < picks[:, None]).sum(axis=1)
 
             counts[rows] += compiled.net[chosen]
@@ -800,6 +803,8 @@ class BatchFairEngine(_BatchEngineBase):
             exhausted = steps[rows] >= max_steps
             active[rows[exhausted]] = False
 
+        stats.events = int(steps.sum())
+        stats.wall_s = _time.perf_counter() - t0
         return BatchRunResult(
             compiled=compiled,
             counts=counts,
@@ -808,8 +813,5 @@ class BatchFairEngine(_BatchEngineBase):
             converged=converged,
             max_output_seen=max_output,
             times=None,
+            stats=stats,
         )
-
-    def run_on_input(self, x: Sequence[int], batch: int = 1, **kwargs) -> BatchRunResult:
-        """Advance ``batch`` trajectories from the initial configuration for ``x``."""
-        return self.run(self.crn.initial_configuration(x), batch=batch, **kwargs)

@@ -6,7 +6,9 @@ must statistically match the scalar ones.  Also covers the dense compilation
 (`CompiledCRN`), seeding policy, and the engine selectors on the runners.
 """
 
+import json
 import math
+import os
 import random
 
 import numpy as np
@@ -14,6 +16,7 @@ import pytest
 
 from repro.crn.configuration import Configuration
 from repro.crn.network import CRN
+from repro.crn.reaction import Reaction
 from repro.crn.species import Species, species
 from repro.functions.catalog import (
     add_spec,
@@ -138,6 +141,124 @@ class TestCompiledCRN:
     def test_crn_compiled_is_cached(self):
         crn = minimum_spec().known_crn
         assert crn.compiled() is crn.compiled()
+
+
+# ---------------------------------------------------------------------------
+# Gather-compiled kinetics against the per-reaction loop oracle
+# ---------------------------------------------------------------------------
+
+
+def oracle_propensities(compiled, counts):
+    """The per-reaction loop ``CompiledCRN.propensities`` used to run.
+
+    Terms are visited in species-index order and each falling-factorial
+    factor is applied in turn, so this fixes the float multiplication order
+    the slot-table gather must reproduce bit for bit.
+    """
+    counts = np.atleast_2d(counts)
+    out = np.broadcast_to(compiled.rates, (counts.shape[0], compiled.n_reactions)).copy()
+    for r, terms in enumerate(compiled.reactant_terms):
+        for s, coefficient in sorted(terms):
+            n = counts[:, s].astype(np.float64)
+            if coefficient == 1:
+                out[:, r] *= n
+            else:
+                for j in range(coefficient):
+                    out[:, r] *= (n - j) / (j + 1)
+    return out
+
+
+def oracle_applicable(compiled, counts):
+    """The per-reaction loop ``CompiledCRN.applicable`` used to run."""
+    counts = np.atleast_2d(counts)
+    out = np.ones((counts.shape[0], compiled.n_reactions), dtype=bool)
+    for r, terms in enumerate(compiled.reactant_terms):
+        for s, coefficient in terms:
+            out[:, r] &= counts[:, s] >= coefficient
+    return out
+
+
+def random_count_batch(rng, n_species, rows=64):
+    """Counts that straddle every coefficient (0-4) plus large populations.
+
+    Large counts make the falling-factorial products inexact in float64,
+    so a change in multiplication order would show up as a bit difference.
+    """
+    small = rng.integers(0, 5, size=(rows, n_species))
+    large = rng.integers(0, 10**7, size=(rows, n_species))
+    return np.where(rng.random((rows, n_species)) < 0.5, small, large).astype(np.int64)
+
+
+def assert_matches_loop_oracle(compiled, counts):
+    assert np.array_equal(compiled.propensities(counts), oracle_propensities(compiled, counts))
+    assert np.array_equal(compiled.applicable(counts), oracle_applicable(compiled, counts))
+
+
+def _construction_cases():
+    """(spec name, strategy) for every registered obliviously-computable spec.
+
+    ``auto`` gives the hand-written CRN where there is one; ``general`` is
+    the Lemma 6.2 construction, for specs with an eventually-min form.
+    """
+    from repro.lab.campaign import resolve_spec, spec_factory_names
+
+    cases = []
+    for name in spec_factory_names():
+        spec = resolve_spec(name)
+        if spec.expected_obliviously_computable:
+            cases.append((name, "auto"))
+            if spec.eventually_min is not None:
+                cases.append((name, "general"))
+    return cases
+
+
+def _padding_crn():
+    """1-, 2- and 3-species reactions, a 3X reactant and a zero-reactant source."""
+    a, b, c, x, y = species("A B C X Y")
+    reactions = [
+        a >> y,
+        Reaction(a + b + c, 2 * y, rate=0.3),
+        Reaction(3 * x, b, rate=1.7),
+        2 * a + b >> c,
+        0 >> x,
+        x + y >> y,
+    ]
+    return CRN(reactions, (a, b, c), y, name="padding")
+
+
+class TestGatherKinetics:
+    @pytest.mark.parametrize("name, strategy", _construction_cases())
+    def test_registered_specs_match_loop_oracle_exactly(self, name, strategy):
+        from repro.core.characterization import build_crn_for
+        from repro.lab.campaign import resolve_spec
+
+        compiled = build_crn_for(resolve_spec(name), strategy=strategy).compiled()
+        counts = random_count_batch(np.random.default_rng(23), compiled.n_species)
+        assert_matches_loop_oracle(compiled, counts)
+
+    def test_padded_slots_match_loop_oracle_exactly(self):
+        compiled = _padding_crn().compiled()
+        rng = np.random.default_rng(5)
+        assert_matches_loop_oracle(compiled, random_count_batch(rng, compiled.n_species, 256))
+
+    def test_slot_table_layout(self):
+        compiled = _padding_crn().compiled()
+        assert compiled.slot_species.shape == compiled.slot_coef.shape == (6, 3)
+        assert compiled.slot_species.dtype == np.intp
+        assert compiled.slot_coef.dtype == np.int64
+        for r, terms in enumerate(compiled.reactant_terms):
+            width = len(terms)
+            assert list(zip(compiled.slot_species[r, :width].tolist(),
+                            compiled.slot_coef[r, :width].tolist())) == sorted(terms)
+            assert (compiled.slot_species[r, width:] == 0).all()
+            assert (compiled.slot_coef[r, width:] == 0).all()
+
+    def test_zero_reaction_crn_has_empty_kinetics(self):
+        X, Y = species("X Y")
+        compiled = CRN([], (X,), Y).compiled()
+        counts = np.array([[3, 0], [0, 1]])
+        assert compiled.propensities(counts).shape == (2, 0)
+        assert compiled.applicable(counts).shape == (2, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -541,3 +662,169 @@ class TestBatchTauLeapEngine:
         # epsilon= is exactly what the approximate engine is for.
         info = validate_engine_request("tau-vec", epsilon=0.05)
         assert info.approximate and info.batch_capable
+
+
+class TestSingleFiringRunStats:
+    """The fair and Gillespie engines fill the same RunStats block as tau-leap.
+
+    A run to silence evaluates every row once per firing plus once more to
+    see it fall silent, and its loop runs one iteration past the longest row.
+    """
+
+    def test_gillespie_stats_on_run_to_silence(self):
+        crn = maximum_spec().known_crn
+        result = BatchGillespieEngine(crn.compiled(), seed=3).run_on_input(
+            (6, 9), batch=5
+        )
+        stats = result.stats
+        assert result.silent.all()
+        assert stats.events == result.total_steps()
+        assert stats.selections == int(result.steps.max()) + 1
+        assert stats.propensity_ops == crn.compiled().n_reactions * (stats.events + 5)
+        assert stats.rng_draws == 2 * stats.events  # one wait and one pick per firing
+        assert stats.wall_s > 0.0
+
+    def test_gillespie_stats_count_the_wait_of_a_timed_out_row(self):
+        crn = double_spec().known_crn
+        result = BatchGillespieEngine(crn.compiled(), seed=1).run_on_input(
+            (1000,), batch=4, max_time=1e-6
+        )
+        stats = result.stats
+        assert (result.times == 1e-6).all()
+        assert stats.rng_draws == 2 * stats.events + 4
+
+    def test_fair_stats_on_run_to_silence(self):
+        crn = maximum_spec().known_crn
+        result = BatchFairEngine(crn.compiled(), seed=3).run_on_input((6, 9), batch=5)
+        stats = result.stats
+        assert result.silent.all()
+        assert stats.events == result.total_steps()
+        assert stats.selections == int(result.steps.max()) + 1
+        assert stats.propensity_ops == crn.compiled().n_reactions * (stats.events + 5)
+        assert stats.rng_draws == stats.events  # one pick per firing
+        assert stats.wall_s > 0.0
+
+    def test_fair_stats_at_the_step_bound(self):
+        x1, x2, y = species("X1 X2 Y")
+        crn = CRN([x1 + x2 >> x1 + x2], (x1, x2), y)
+        result = BatchFairEngine(crn.compiled(), seed=4).run_on_input(
+            (3, 3), batch=6, max_steps=50
+        )
+        assert result.stats.selections == 50
+        assert result.stats.events == result.stats.rng_draws == 300
+
+    @pytest.mark.parametrize("cls", [BatchFairEngine, BatchGillespieEngine])
+    def test_zero_reaction_crn_has_zero_stats(self, cls):
+        X, Y = species("X Y")
+        result = cls(CRN([], (X,), Y).compiled(), seed=2).run_on_input((9,), batch=3)
+        stats = result.stats
+        assert stats.events == stats.selections == 0
+        assert stats.propensity_ops == stats.rng_draws == 0
+
+
+# ---------------------------------------------------------------------------
+# Seeded batch-engine streams on the paper's constructions, pinned bit for bit
+# ---------------------------------------------------------------------------
+
+BATCH_GOLDEN_PATH = os.path.join(
+    os.path.dirname(__file__), "data", "batch_engine_golden.json"
+)
+BATCH_GOLDEN_SEED = 5
+BATCH_GOLDEN_ENGINES = {
+    "fair": BatchFairEngine,
+    "gillespie": BatchGillespieEngine,
+    "tau": BatchTauLeapEngine,
+}
+
+
+def _batch_golden_cases():
+    """label -> (engine, construction, input, run kwargs).
+
+    The step and time bounds stop most rows part way to silence, so the
+    final state depends on every draw of the stream.  The two ``tau``
+    populations cover both halves of that engine: the small one runs almost
+    entirely in exact bursts, the large ones leap.
+    """
+    return {
+        "fair/weighted_floor": (
+            "fair", "weighted_floor", (40, 30),
+            dict(batch=8, max_steps=150, quiescence_window=60),
+        ),
+        "gillespie/weighted_floor": (
+            "gillespie", "weighted_floor", (40, 30),
+            dict(batch=8, max_steps=150, max_time=4.0),
+        ),
+        "tau/weighted_floor/burst": (
+            "tau", "weighted_floor", (400, 300),
+            dict(batch=8, max_steps=1500, max_time=6.0),
+        ),
+        "tau/weighted_floor/leap": (
+            "tau", "weighted_floor", (4000, 3000), dict(batch=4, max_steps=2500),
+        ),
+        "fair/fig4a_style": (
+            "fair", "fig4a_style", (12, 9), dict(batch=6, max_steps=400),
+        ),
+        "gillespie/fig4a_style": (
+            "gillespie", "fig4a_style", (12, 9),
+            dict(batch=6, max_steps=400, max_time=2.5),
+        ),
+        "tau/fig4a_style": (
+            "tau", "fig4a_style", (2000, 1500), dict(batch=2, max_steps=1200),
+        ),
+    }
+
+
+def _golden_construction(name):
+    from repro.core.characterization import build_crn_for
+    from repro.lab.campaign import resolve_spec
+
+    return build_crn_for(resolve_spec(name), strategy="general")
+
+
+def batch_golden_observation(label):
+    """The final per-row state of one seeded batch run, in JSON form."""
+    engine, construction, x, kwargs = _batch_golden_cases()[label]
+    crn = _golden_construction(construction)
+    cls = BATCH_GOLDEN_ENGINES[engine]
+    result = cls(crn.compiled(), seed=BATCH_GOLDEN_SEED).run_on_input(x, **kwargs)
+    return {
+        "counts": result.counts.tolist(),
+        "steps": result.steps.tolist(),
+        "times": None if result.times is None else result.times.tolist(),
+        "max_output_seen": result.max_output_seen.tolist(),
+        "silent": result.silent.tolist(),
+        "converged": result.converged.tolist(),
+    }
+
+
+def build_batch_golden():
+    """The full table, as written to ``BATCH_GOLDEN_PATH``.
+
+    Rewrite the fixture only for an intended change of a seeded stream::
+
+        PYTHONPATH=src:. python -c "import json, tests.test_engine as t; \\
+            json.dump(t.build_batch_golden(), open(t.BATCH_GOLDEN_PATH, 'w'), \\
+                      indent=1, sort_keys=True)"
+    """
+    return {label: batch_golden_observation(label) for label in _batch_golden_cases()}
+
+
+class TestBatchEngineGolden:
+    """Seeded batch runs on the R=38 and R=132 constructions, pinned exactly.
+
+    Float times are compared after a JSON round trip, which is exact for
+    float64, so any change in draw order or kinetics arithmetic shows up.
+    """
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        with open(BATCH_GOLDEN_PATH) as handle:
+            return json.load(handle)
+
+    @pytest.mark.parametrize("label", list(_batch_golden_cases()))
+    def test_batch_run_matches_golden(self, golden, label):
+        observed = json.loads(json.dumps(batch_golden_observation(label)))
+        assert observed == golden[label]
+
+    def test_golden_covers_every_case(self, golden):
+        assert set(golden) == set(_batch_golden_cases())

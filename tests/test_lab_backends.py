@@ -134,6 +134,24 @@ class TestSharedDirQueue:
         # lease and token are gone: nothing is claimable
         assert queue.claim("other") is None
 
+    def test_in_flight_done_write_is_not_a_done_marker(self, tmp_path):
+        queue = SharedDirQueue(str(tmp_path / "q"))
+        cells = tiny_campaign(grid="0:2").expand()
+        queue.enqueue(cells)
+        rows = list(SerialExecutor().map(cells))
+        queue.complete(cells[0].cell_id, "w", rows[0])
+        # the temporary file of an atomic write that has not been renamed yet
+        with open(os.path.join(queue.root, "done", ".tmp-x"), "w") as handle:
+            handle.write("{")
+        assert queue.done_ids() == {cells[0].cell_id}
+        assert not queue.all_done()
+        assert not queue.all_done({".tmp-x"})
+        assert queue.all_done({cells[0].cell_id})
+        for cell, row in zip(cells[1:], rows[1:]):
+            queue.complete(cell.cell_id, "w", row)
+        assert queue.done_ids() == {c.cell_id for c in cells}
+        assert queue.all_done()
+
 
 class TestLocalPoolBackend:
     def test_rows_bit_identical_to_pool_executor(self):

@@ -41,7 +41,6 @@ from repro.lab.aggregate import (
     write_bench_json,
 )
 from repro.lab.backends import (
-    LocalPoolBackend,
     SharedDirBackend,
     SharedDirQueue,
     WorkQueue,
@@ -86,7 +85,6 @@ __all__ = [
     "CellResult",
     "CellTimeoutError",
     "EngineStats",
-    "LocalPoolBackend",
     "PoolExecutor",
     "ResultCache",
     "ResultStore",

@@ -4,17 +4,21 @@ The executor seam (:func:`~repro.lab.campaign.run_campaign` accepts anything
 with ``map(cells) -> iterator of CellResult``) generalizes to a **work
 queue**: campaign cells are deterministic, content-addressed, and resumable
 from the JSONL store, so shards can be *claimed idempotently* by any number
-of hosts and the per-worker results merged by cache key.  Three pieces:
+of hosts and the per-worker results merged by cache key.  Two pieces:
 
 * :class:`WorkQueue` — the claim / lease / renew / complete protocol over
   content-addressed cell ids;
-* :class:`LocalPoolBackend` — the degenerate backend: wraps today's
-  in-process :class:`~repro.lab.executor.PoolExecutor` bit-for-bit, so
-  ``backend="local"`` is exactly the historical behaviour;
 * :class:`SharedDirBackend` / :class:`SharedDirQueue` — a filesystem-backed
   queue any number of ``python -m repro worker --queue-dir ...`` processes
   can serve, coordinated purely by atomic directory-entry operations (no
   server, no locks, works on any shared POSIX directory).
+
+The single-host path needs no backend: it is
+:class:`~repro.lab.executor.PoolExecutor` itself.  A backend only executes
+cells; which cells need executing, and what happens to their rows (store,
+cache), is decided by :class:`~repro.lab.campaign.CellPipeline` before and
+after ``map``.  Worker-side cell spans come from
+:func:`~repro.lab.executor.emit_cell_span`.
 
 **The lease contract.**  A cell is claimed by atomically creating
 ``leases/<cell_id>`` with ``O_CREAT | O_EXCL`` — exactly one claimant can
@@ -59,7 +63,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Set
 
 from repro.api.config import RunConfig
 from repro.lab.campaign import Cell
-from repro.lab.executor import PoolExecutor, run_cell_with_timeout
+from repro.lab.executor import emit_cell_span, run_cell_with_timeout
 from repro.lab.store import CellResult, ResultStore
 
 #: Schema tag of the queue seal file.
@@ -459,34 +463,8 @@ class SharedDirQueue(WorkQueue):
 
 
 # ---------------------------------------------------------------------------
-# Backends: the executor-seam adapters run_campaign actually consumes
+# The executor-seam adapter run_campaign consumes
 # ---------------------------------------------------------------------------
-
-
-class LocalPoolBackend:
-    """The local backend: today's multiprocessing pool behind the seam.
-
-    ``map`` delegates straight to :class:`~repro.lab.executor.PoolExecutor`
-    (ordered ``imap``), so rows — provenance included — are bit-for-bit what
-    the historical executor produced.  Exists so campaign call sites select
-    backends uniformly (``"local"`` vs ``"shared-dir"``).
-    """
-
-    name = "local"
-
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        chunksize: Optional[int] = None,
-        timeout: Optional[float] = None,
-    ) -> None:
-        self.executor = PoolExecutor(workers=workers, chunksize=chunksize, timeout=timeout)
-
-    def map(self, cells: Iterable[Cell]) -> Iterator[CellResult]:
-        yield from self.executor.map(cells)
-
-    def __repr__(self) -> str:
-        return f"LocalPoolBackend({self.executor!r})"
 
 
 class SharedDirBackend:
@@ -640,20 +618,7 @@ class _WorkerSession:
         self.stats["updated_unix"] = time.time()
         self.queue.write_worker_stats(self.worker_id, self.stats)
         if self._tracer is not None:
-            self._tracer.emit_span(
-                "lab.cell",
-                time.time() - result.wall_time,
-                result.wall_time,
-                cell=result.cell_id,
-                spec=result.spec,
-                engine=result.engine,
-                status=result.status,
-                worker=result.worker,
-                cpu_s=result.cpu_time,
-            )
-            self._tracer.event(
-                "worker.heartbeat", worker=self.worker_id, cell=result.cell_id
-            )
+            emit_cell_span(self._tracer, result, worker=self.worker_id)
         return True
 
     def finish(self) -> Dict[str, Any]:

@@ -7,16 +7,16 @@ config variants — and :func:`run_campaign` turns it into artifacts on disk:
    :class:`Cell` s.  Expansion is a pure function of the campaign, so the same
    campaign always yields the same cells (ids, seeds, order) — the property
    resume and caching both rest on.
-2. **skip**: cells whose ids already appear in the campaign's JSONL store are
-   done (a previous run, possibly interrupted, produced them).
-3. **cache**: remaining seeded cells are looked up in the content-addressed
-   :class:`~repro.lab.cache.ResultCache`; hits are replayed into the store
-   without simulating.
-4. **execute**: misses go to an executor (:mod:`repro.lab.executor`) — a
-   worker pool or the serial fallback — and every result (including error
-   rows) is appended to the store as it arrives.
-5. **aggregate**: all rows are summarized (:mod:`repro.lab.aggregate`) and the
-   summary is written next to the store.
+2. **triage**: a :class:`CellPipeline` skips cells whose ids already appear
+   in the campaign's JSONL store (a previous run, possibly interrupted,
+   produced them) and replays seeded cells that hit the content-addressed
+   :class:`~repro.lab.cache.ResultCache` into the store without simulating.
+   Serve jobs and ``/v1/simulate`` share this pipeline.
+3. **execute**: misses go to an executor (:mod:`repro.lab.executor`) — a
+   worker pool or the serial fallback — and the pipeline lands every result
+   (including error rows) as it arrives: stored, and published if seeded and ok.
+4. **aggregate**: the landed rows are summarized (:mod:`repro.lab.aggregate`)
+   and the summary is written next to the store.
 
 Specs travel to worker processes *by name*: a module-level factory registry
 maps names to zero-argument constructors, pre-populated with the package
@@ -32,7 +32,7 @@ import itertools
 import json
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.api.config import RunConfig
 from repro.core.specs import FunctionSpec
@@ -295,13 +295,96 @@ class Cell:
         )
 
 
-def cached_row(cache: ResultCache, cell: Cell, key: str) -> Optional[CellResult]:
-    """``cell``'s row replayed from ``cache`` under ``key`` (its ``cache_key()``),
-    or ``None`` on a miss or an entry recorded for another cell id."""
-    payload = cache.get(key)
-    if payload is None or payload.get("cell_id") != cell.cell_id:
-        return None
-    return CellResult.from_dict({**payload, "cached": True, "wall_time": 0.0})
+class CellPipeline:
+    """One home for the cell lifecycle: skip done, replay the memo, publish.
+
+    :func:`run_campaign`, serve jobs, ``/v1/simulate`` and the serve
+    shared-dir fold all land their rows here; only how a miss is executed
+    is their own.  :meth:`triage` lands the cells that need no work and
+    returns the misses; :meth:`land` takes each executed row.  Landing
+    appends the row to ``sink`` (``None``: it stays in :attr:`rows` only, as
+    for a serve job), publishes it if ok and its cell was a cacheable miss,
+    bumps the counters, and calls ``on_land(cell, row, source)``, with
+    ``source`` one of ``"done"``, ``"cache"``, ``"run"``.
+    """
+
+    def __init__(
+        self,
+        sink=None,
+        cache: Optional[ResultCache] = None,
+        on_land: Optional[Callable[[Cell, CellResult, str], None]] = None,
+    ) -> None:
+        self.sink = sink
+        self.cache = cache
+        self.on_land = on_land
+        self.rows: Dict[str, CellResult] = {}
+        self._keys: Dict[str, str] = {}  # cache key per cacheable miss, hashed once
+        self.already_done = 0
+        self.from_cache = 0
+        self.cache_misses = 0
+        self.executed = 0
+        self.errors = 0
+
+    @property
+    def done(self) -> int:
+        return self.already_done + self.from_cache + self.executed
+
+    def triage(
+        self,
+        cells: Sequence[Cell],
+        done_rows: Optional[Dict[str, CellResult]] = None,
+        retry_errors: bool = False,
+    ) -> List[Cell]:
+        """Land done rows and cache hits; return the cells left to execute.
+
+        A recorded error row counts as done unless ``retry_errors``.  A cache
+        entry counts only if it was recorded for the same cell id.
+        """
+        misses: List[Cell] = []
+        for cell in cells:
+            row = done_rows.get(cell.cell_id) if done_rows else None
+            if row is not None and (row.ok or not retry_errors):
+                self.land(cell, row, "done")
+                continue
+            # Not ``if self.cache``: that calls __len__, a full scan, and
+            # skips empty roots.
+            if self.cache is not None and cell.cacheable:
+                key = cell.cache_key()
+                payload = self.cache.get(key)
+                if payload is not None and payload.get("cell_id") == cell.cell_id:
+                    row = CellResult.from_dict({**payload, "cached": True, "wall_time": 0.0})
+                    self.land(cell, row, "cache")
+                    continue
+                self._keys[cell.cell_id] = key
+                self.cache_misses += 1
+            misses.append(cell)
+        return misses
+
+    def land(self, cell: Cell, row: CellResult, source: str = "run") -> None:
+        """Record one row of ``cell``; ``source`` says where it came from."""
+        if source != "done" and self.sink is not None:
+            self.sink.append(row)
+        key = self._keys.pop(cell.cell_id, None)  # present only for a cacheable miss
+        if key is not None and row.ok:
+            self.cache.put(key, row.deterministic_dict())
+        self.rows[cell.cell_id] = row
+        if source == "done":
+            self.already_done += 1
+        elif source == "cache":
+            self.from_cache += 1
+        else:
+            self.executed += 1
+        if not row.ok:
+            self.errors += 1
+        if self.on_land is not None:
+            self.on_land(cell, row, source)
+
+    def results(self, cells: Sequence[Cell]) -> Iterator[CellResult]:
+        """The rows landed so far, in the order of ``cells``."""
+        for cell in cells:
+            row = self.rows.get(cell.cell_id)
+            if row is not None:
+                yield row
 
 
 def _derive_cell_seed(master_seed: int, descriptor_blob: str) -> int:
@@ -492,7 +575,7 @@ class Campaign:
 
 
 # ---------------------------------------------------------------------------
-# The campaign lifecycle: expand -> skip done -> cache -> execute -> aggregate
+# The campaign lifecycle: expand -> triage -> execute -> aggregate
 # ---------------------------------------------------------------------------
 
 
@@ -600,35 +683,17 @@ def run_campaign(
     )
     campaign_span.__enter__()
     try:
-        recorded = {row.cell_id: row for row in store.iter_rows()}
-        already_done = 0
-        pending: List[Cell] = []
-        for cell in cells:
-            row = recorded.get(cell.cell_id)
-            if row is not None and (row.ok or not retry_errors):
-                already_done += 1
-                if progress:
-                    progress(row, "done")
-            else:
-                pending.append(cell)
 
-        # Not ``if cache``: that calls __len__, a full scan, and skips empty roots.
-        cache = ResultCache(cache_dir) if cache_dir is not None else None
-        from_cache = 0
-        to_run: List[Cell] = []
-        run_keys: List[Optional[str]] = []  # cache key per to_run cell, hashed once
-        for cell in pending:
-            key = cell.cache_key() if cache is not None and cell.cacheable else None
-            result = cached_row(cache, cell, key) if key is not None else None
-            if result is not None:
-                store.append(result)
-                from_cache += 1
+        def on_land(cell: Cell, row: CellResult, source: str) -> None:
+            if source == "cache":
                 tracer.event("cache.hit", cell=cell.cell_id, spec=cell.spec)
-                if progress:
-                    progress(result, "cache")
-            else:
-                to_run.append(cell)
-                run_keys.append(key)
+            if progress:
+                progress(row, source)
+
+        cache = ResultCache(cache_dir) if cache_dir is not None else None
+        pipeline = CellPipeline(store, cache, on_land)
+        recorded = {row.cell_id: row for row in store.iter_rows()}
+        to_run = pipeline.triage(cells, recorded, retry_errors)
 
         if executor is None:
             from repro.lab.executor import PoolExecutor, SerialExecutor
@@ -638,20 +703,10 @@ def run_campaign(
                 if workers > 1
                 else SerialExecutor(timeout=timeout)
             )
+        for cell, result in zip(to_run, executor.map(to_run)):
+            pipeline.land(cell, result)
 
-        executed = 0
-        for key, result in zip(run_keys, executor.map(to_run)):
-            store.append(result)
-            executed += 1
-            if key is not None and result.ok:
-                cache.put(key, result.deterministic_dict())
-            if progress:
-                progress(result, "run")
-
-        rows_by_id = {row.cell_id: row for row in store.iter_rows()}
-        results = [
-            rows_by_id[cell.cell_id] for cell in cells if cell.cell_id in rows_by_id
-        ]
+        results = list(pipeline.results(cells))
         summary = summarize(results, campaign=campaign.name)
         summary.corrupt_lines_skipped = store.last_scan.corrupt_interior
         with open(os.path.join(out_dir, SUMMARY_NAME), "w", encoding="utf-8") as handle:
@@ -671,7 +726,9 @@ def run_campaign(
                     json.dump(provenance, handle, indent=2, sort_keys=True)
                     handle.write("\n")
         campaign_span.set(
-            executed=executed, from_cache=from_cache, already_done=already_done
+            executed=pipeline.executed,
+            from_cache=pipeline.from_cache,
+            already_done=pipeline.already_done,
         )
     finally:
         campaign_span.__exit__(None, None, None)
@@ -695,9 +752,9 @@ def run_campaign(
         results=results,
         summary=summary,
         total_cells=len(cells),
-        already_done=already_done,
-        from_cache=from_cache,
-        executed=executed,
+        already_done=pipeline.already_done,
+        from_cache=pipeline.from_cache,
+        executed=pipeline.executed,
     )
 
 

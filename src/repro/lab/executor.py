@@ -16,13 +16,17 @@ must produce bit-identical deterministic rows to the serial loop (enforced by
   explicit chunking.  Ordered iteration keeps the result stream (and hence
   the JSONL store) in deterministic cell order regardless of which worker
   finishes first.
+* :func:`emit_cell_span` — the ``lab.cell`` span of a cell executed in
+  another process (a pool or shared-dir worker).
 
 Per-cell wall-clock timeouts use ``SIGALRM`` inside the worker (pool workers
 run tasks on their main thread), so a hung cell becomes a timeout error row
 without poisoning the pool.  On platforms without ``SIGALRM`` the timeout is
 silently unenforced rather than failing the campaign.
 
-New executor backends (async, remote, sharded) plug in by exposing the same
+An executor only executes the misses of a
+:class:`~repro.lab.campaign.CellPipeline`, which lands its rows.  New
+executor backends (async, remote, sharded) plug in by exposing the same
 ``map(cells) -> iterator of CellResult`` surface and being passed to
 :func:`repro.lab.campaign.run_campaign` via ``executor=``.
 """
@@ -34,7 +38,7 @@ import os
 import signal
 import threading
 import time
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.crn.network import CRN
 from repro.lab.campaign import Cell, resolve_spec
@@ -167,32 +171,31 @@ def _pool_task(payload: Tuple[Cell, Optional[float]]) -> CellResult:
     return run_cell_with_timeout(cell, timeout)
 
 
-def _traced_results(results: Iterable[CellResult]) -> Iterator[CellResult]:
-    """Emit a per-cell span + a worker heartbeat as each result arrives.
+def emit_cell_span(tracer, result: CellResult, worker: Any = None) -> None:
+    """A finished cell's ``lab.cell`` span plus a worker heartbeat.
 
-    The pool path: results come back to the *parent* process through ordered
-    ``imap``, so the trace file has a single span writer per cell even though
-    the work happened in a forked worker — the span duration is the
-    worker-measured ``wall_time`` carried on the row.
+    The span ends now and lasts the worker-measured ``wall_time`` on the
+    row, so a cell run in another process still gets exactly one span.  The
+    heartbeat names ``worker`` (default: the row's executing PID).
     """
-    tracer = get_tracer()
     if not tracer.enabled:
-        yield from results
         return
-    for result in results:
-        tracer.emit_span(
-            "lab.cell",
-            time.time() - result.wall_time,
-            result.wall_time,
-            cell=result.cell_id,
-            spec=result.spec,
-            engine=result.engine,
-            status=result.status,
-            worker=result.worker,
-            cpu_s=result.cpu_time,
-        )
-        tracer.event("worker.heartbeat", worker=result.worker, cell=result.cell_id)
-        yield result
+    tracer.emit_span(
+        "lab.cell",
+        time.time() - result.wall_time,
+        result.wall_time,
+        cell=result.cell_id,
+        spec=result.spec,
+        engine=result.engine,
+        status=result.status,
+        worker=result.worker,
+        cpu_s=result.cpu_time,
+    )
+    tracer.event(
+        "worker.heartbeat",
+        worker=result.worker if worker is None else worker,
+        cell=result.cell_id,
+    )
 
 
 class SerialExecutor:
@@ -261,9 +264,10 @@ class PoolExecutor:
         with multiprocessing.Pool(processes=min(self.workers, len(cells))) as pool:
             # imap (not imap_unordered): results come back in cell order, so
             # the store stays deterministic no matter the scheduling.
-            yield from _traced_results(
-                pool.imap(_pool_task, payloads, self._chunksize_for(len(cells)))
-            )
+            tracer = get_tracer()
+            for result in pool.imap(_pool_task, payloads, self._chunksize_for(len(cells))):
+                emit_cell_span(tracer, result)
+                yield result
 
     def __repr__(self) -> str:
         return (

@@ -7,18 +7,21 @@ job cell and a local campaign cell with the same descriptor share a cache
 key, per-cell derived seed, and cell id, so their results are interchangeable
 and mutually memoizing.
 
-Lifecycle per job (one asyncio task, cells fanned out to the pool):
+Jobs and ``/v1/simulate`` cells go through the campaign's own
+:class:`~repro.lab.campaign.CellPipeline` with no sink, so a serve job is a
+campaign with an in-memory store: cache hits land without touching the pool
+and successful seeded rows are published, exactly as in ``run_campaign``.
+Only executing the misses is serve's own (one asyncio task per job):
 
-1. cells whose seeded cache key hits the shared
-   :class:`~repro.lab.cache.ResultCache` are resolved without touching the
-   pool;
-2. the misses are all submitted to the ``ProcessPoolExecutor`` at once (the
-   pool provides the parallelism; the task just awaits completions);
-3. completions are folded in as they land; successful seeded rows are
-   published back to the cache;
-4. cancellation sets an event the task races against: pending pool futures
-   are cancelled, in-flight cells are abandoned (their results discarded),
-   and the job settles as ``"cancelled"`` with its partial results intact.
+* **pool**: all misses are submitted to the ``ProcessPoolExecutor`` at once
+  and land as they complete;
+* **shared-dir**: the misses are enqueued on a
+  :class:`~repro.lab.backends.SharedDirQueue` and land as external workers'
+  ``done/`` markers appear;
+* **cancellation** sets an event the task races against: pending pool
+  futures are cancelled, in-flight cells are abandoned (their results
+  discarded), and the job settles as ``"cancelled"`` with its partial
+  results intact.
 
 **Backpressure** is cell-granular: the manager tracks the number of cells not
 yet finished across all live jobs, and a submission that would push the total
@@ -31,12 +34,12 @@ from __future__ import annotations
 import asyncio
 import time
 import uuid
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.api.config import RunConfig
 from repro.lab.backends import SharedDirQueue
 from repro.lab.cache import ResultCache
-from repro.lab.campaign import Campaign, Cell, cached_row
+from repro.lab.campaign import Campaign, Cell, CellPipeline
 from repro.lab.executor import run_cell
 from repro.lab.store import CellResult
 from repro.serve.metrics import ServerMetrics
@@ -73,29 +76,27 @@ def single_cell(spec_name: str, strategy: str, x: Sequence[int], config: RunConf
 
 
 class Job:
-    """One submitted campaign: cells, progress counters, partial results."""
+    """One submitted campaign: its cells and the pipeline its rows land in."""
 
     def __init__(
         self,
         job_id: str,
         name: str,
         cells: List[Cell],
+        pipeline: CellPipeline,
         queue_dir: Optional[str] = None,
     ) -> None:
         self.id = job_id
         self.name = name
         self.cells = cells
+        self.pipeline = pipeline
         self.queue_dir = queue_dir
         self.worker_stats: Dict[str, Dict[str, Any]] = {}
         self.state = "queued"
         self.error: Optional[str] = None
         self.created = time.time()
         self.finished: Optional[float] = None
-        self.from_cache = 0
-        self.executed = 0
-        self.errors = 0
         self.cancel_event = asyncio.Event()
-        self._rows: Dict[str, CellResult] = {}
 
     # -- progress ---------------------------------------------------------------
 
@@ -104,29 +105,12 @@ class Job:
         return len(self.cells)
 
     @property
-    def done_cells(self) -> int:
-        return self.from_cache + self.executed
-
-    @property
     def remaining(self) -> int:
-        return self.total - self.done_cells
+        return self.total - self.pipeline.done
 
     @property
     def active(self) -> bool:
         return self.state not in DONE_STATES
-
-    def record(self, cell: Cell, row: CellResult, from_cache: bool) -> None:
-        self._rows[cell.cell_id] = row
-        if from_cache:
-            self.from_cache += 1
-        else:
-            self.executed += 1
-        if not row.ok:
-            self.errors += 1
-
-    def results(self) -> List[CellResult]:
-        """Rows so far, in deterministic cell order (not completion order)."""
-        return list(self.results_iter())
 
     def results_iter(self) -> Iterator[CellResult]:
         """Stream rows so far in deterministic cell order (never a list).
@@ -134,10 +118,7 @@ class Job:
         The NDJSON results endpoint serializes straight off this iterator, so
         a million-cell job's results are never buffered as one response body.
         """
-        for cell in self.cells:
-            row = self._rows.get(cell.cell_id)
-            if row is not None:
-                yield row
+        return self.pipeline.results(self.cells)
 
     def to_dict(self, include_results: bool = True) -> Dict[str, Any]:
         payload: Dict[str, Any] = {
@@ -147,10 +128,10 @@ class Job:
             "error": self.error,
             "progress": {
                 "total": self.total,
-                "done": self.done_cells,
-                "from_cache": self.from_cache,
-                "executed": self.executed,
-                "errors": self.errors,
+                "done": self.pipeline.done,
+                "from_cache": self.pipeline.from_cache,
+                "executed": self.pipeline.executed,
+                "errors": self.pipeline.errors,
             },
         }
         if self.queue_dir is not None:
@@ -160,7 +141,7 @@ class Job:
                 "workers": self.worker_stats,
             }
         if include_results:
-            payload["results"] = [row.to_dict() for row in self.results()]
+            payload["results"] = [row.to_dict() for row in self.results_iter()]
         return payload
 
 
@@ -191,35 +172,37 @@ class JobManager:
     def pending_cells(self) -> int:
         return sum(job.remaining for job in self.jobs.values() if job.active)
 
-    # -- the cache memo, shared with the simulate endpoint -------------------------
+    # -- the cell pipeline, shared by the simulate endpoint and jobs ---------------
 
-    def cache_lookup(self, cell: Cell) -> Optional[CellResult]:
-        """The cached row for a cell, or ``None``; records hit/miss metrics."""
-        if self.cache is None or not cell.cacheable:
-            return None
-        row = cached_row(self.cache, cell, cell.cache_key())
-        self.metrics.record_cache(row is not None)
-        return row
+    def _on_land(self, cell: Cell, row: CellResult, source: str) -> None:
+        if source == "cache":
+            self.metrics.record_engine_request(cell.engine)
+            self.metrics.record_cache(True)
+        else:
+            self.metrics.record_engine_executed(cell.engine)
 
-    def cache_publish(self, cell: Cell, row: CellResult) -> None:
-        if self.cache is not None and cell.cacheable and row.ok:
-            self.cache.put(cell.cache_key(), row.deterministic_dict())
+    def _on_job_land(self, cell: Cell, row: CellResult, source: str) -> None:
+        self._on_land(cell, row, source)
+        self.metrics.record_job_event(
+            "cells_from_cache" if source == "cache" else "cells_executed"
+        )
+
+    def _triage(self, pipeline: CellPipeline, cells: List[Cell]) -> List[Cell]:
+        """The cells the memo could not answer; every cell counts as requested."""
+        misses = pipeline.triage(cells)
+        for cell in misses:
+            self.metrics.record_engine_request(cell.engine)
+        if pipeline.cache_misses:
+            self.metrics.record_cache(False, pipeline.cache_misses)
+        return misses
 
     async def execute_cell(self, cell: Cell) -> Tuple[CellResult, bool]:
-        """Run one cell through the memo: ``(row, was_cache_hit)``.
-
-        The simulate endpoint calls this directly; job tasks use the same
-        lookup/publish pair around their fan-out.
-        """
-        self.metrics.record_engine_request(cell.engine)
-        row = self.cache_lookup(cell)
-        if row is not None:
-            return row, True
-        loop = asyncio.get_running_loop()
-        row = await loop.run_in_executor(self.pool, run_cell, cell)
-        self.metrics.record_engine_executed(cell.engine)
-        self.cache_publish(cell, row)
-        return row, False
+        """Run one cell through the memo: ``(row, was_cache_hit)``."""
+        pipeline = CellPipeline(cache=self.cache, on_land=self._on_land)
+        if self._triage(pipeline, [cell]):
+            loop = asyncio.get_running_loop()
+            pipeline.land(cell, await loop.run_in_executor(self.pool, run_cell, cell))
+        return pipeline.rows[cell.cell_id], pipeline.from_cache == 1
 
     # -- job lifecycle --------------------------------------------------------------
 
@@ -247,7 +230,8 @@ class JobManager:
                 f"{len(cells)}, limit is {self.queue_limit}",
                 retry_after=max(1, backlog // 100),
             )
-        job = Job(uuid.uuid4().hex[:12], campaign.name, cells, queue_dir=queue_dir)
+        pipeline = CellPipeline(cache=self.cache, on_land=self._on_job_land)
+        job = Job(uuid.uuid4().hex[:12], campaign.name, cells, pipeline, queue_dir=queue_dir)
         self.jobs[job.id] = job
         self.metrics.record_job_event("submitted")
         self._tasks[job.id] = asyncio.get_running_loop().create_task(self._run(job))
@@ -266,55 +250,12 @@ class JobManager:
     async def _run(self, job: Job) -> None:
         try:
             job.state = "running"
-            loop = asyncio.get_running_loop()
-
-            to_run: List[Cell] = []
-            for cell in job.cells:
-                if job.cancel_event.is_set():
-                    break
-                self.metrics.record_engine_request(cell.engine)
-                row = self.cache_lookup(cell)
-                if row is not None:
-                    job.record(cell, row, from_cache=True)
-                    self.metrics.record_job_event("cells_from_cache")
+            if not job.cancel_event.is_set():
+                misses = self._triage(job.pipeline, job.cells)
+                if job.queue_dir is not None:
+                    await self._run_shared_dir(job, misses)
                 else:
-                    to_run.append(cell)
-
-            if job.queue_dir is not None:
-                if not job.cancel_event.is_set():
-                    await self._run_shared_dir(job, to_run)
-            else:
-                by_future: Dict[asyncio.Future, Cell] = {}
-                if not job.cancel_event.is_set():
-                    for cell in to_run:
-                        by_future[loop.run_in_executor(self.pool, run_cell, cell)] = cell
-
-                pending = set(by_future)
-                waiter = asyncio.ensure_future(job.cancel_event.wait())
-                try:
-                    while pending:
-                        done, still_pending = await asyncio.wait(
-                            pending | {waiter}, return_when=asyncio.FIRST_COMPLETED
-                        )
-                        pending = still_pending - {waiter}
-                        for future in done - {waiter}:
-                            if future.cancelled():
-                                continue
-                            cell = by_future[future]
-                            row = future.result()  # run_cell never raises
-                            job.record(cell, row, from_cache=False)
-                            self.metrics.record_engine_executed(cell.engine)
-                            self.metrics.record_job_event("cells_executed")
-                            self.cache_publish(cell, row)
-                        if job.cancel_event.is_set():
-                            for future in pending:
-                                future.cancel()
-                            if pending:
-                                await asyncio.gather(*pending, return_exceptions=True)
-                            pending = set()
-                finally:
-                    waiter.cancel()
-
+                    await self._run_pool(job, misses)
             if job.cancel_event.is_set():
                 job.state = "cancelled"
                 self.metrics.record_job_event("cancelled")
@@ -328,38 +269,52 @@ class JobManager:
         finally:
             job.finished = time.time()
 
-    async def _run_shared_dir(self, job: Job, to_run: List[Cell]) -> None:
+    async def _run_pool(self, job: Job, misses: List[Cell]) -> None:
+        """Fan a job's cache misses out to the pool; land rows as they complete."""
+        loop = asyncio.get_running_loop()
+        by_future = {loop.run_in_executor(self.pool, run_cell, cell): cell for cell in misses}
+        pending = set(by_future)
+        waiter = asyncio.ensure_future(job.cancel_event.wait())
+        try:
+            while pending:
+                done, still_pending = await asyncio.wait(
+                    pending | {waiter}, return_when=asyncio.FIRST_COMPLETED
+                )
+                pending = still_pending - {waiter}
+                for future in done - {waiter}:
+                    if not future.cancelled():
+                        job.pipeline.land(by_future[future], future.result())  # never raises
+                if job.cancel_event.is_set():
+                    for future in pending:
+                        future.cancel()
+                    if pending:
+                        await asyncio.gather(*pending, return_exceptions=True)
+                    pending = set()
+        finally:
+            waiter.cancel()
+
+    async def _run_shared_dir(self, job: Job, misses: List[Cell]) -> None:
         """Drive a job's cache misses through a shared-dir work queue.
 
         The server never executes these cells itself: it enqueues them and
-        polls the queue's ``done/`` markers, folding merged rows in as
-        external workers complete shards.  All filesystem traffic runs on the
-        loop's thread executor so the event loop stays responsive.  Rows
-        stream into ``job._rows`` incrementally, so ``GET .../results``
-        observes partial progress exactly as it does for pool jobs.
+        polls the queue's ``done/`` markers, landing merged rows as external
+        workers complete shards.  All filesystem traffic runs on the loop's
+        thread executor so the event loop stays responsive.  Rows land in the
+        job's pipeline incrementally, so ``GET .../results`` observes partial
+        progress exactly as it does for pool jobs.
         """
         loop = asyncio.get_running_loop()
         queue = SharedDirQueue(job.queue_dir)
-        by_id = {cell.cell_id: cell for cell in to_run}
-        await loop.run_in_executor(None, queue.enqueue, to_run)
-        folded: Set[str] = set()
-        while folded != set(by_id):
-            if job.cancel_event.is_set():
-                break
+        waiting = {cell.cell_id: cell for cell in misses}
+        await loop.run_in_executor(None, queue.enqueue, misses)
+        while waiting and not job.cancel_event.is_set():
             done = await loop.run_in_executor(None, queue.done_ids)
-            fresh = (done & set(by_id)) - folded
+            fresh = done & set(waiting)
             if fresh:
                 rows = await loop.run_in_executor(None, queue.merged_rows, fresh)
                 for cell_id in sorted(fresh):
-                    row = rows.get(cell_id)
-                    if row is None:
-                        continue  # done marker ahead of the row flush; next poll
-                    cell = by_id[cell_id]
-                    job.record(cell, row, from_cache=False)
-                    self.metrics.record_engine_executed(cell.engine)
-                    self.metrics.record_job_event("cells_executed")
-                    self.cache_publish(cell, row)
-                    folded.add(cell_id)
+                    if cell_id in rows:  # else the marker beat the row flush; next poll
+                        job.pipeline.land(waiting.pop(cell_id), rows[cell_id])
                 job.worker_stats = await loop.run_in_executor(None, queue.worker_stats)
                 continue  # something landed; re-poll immediately
             try:

@@ -166,8 +166,8 @@ class ServerMetrics:
             endpoint, LatencyWindow(self._latency_window)
         ).record(seconds)
 
-    def record_cache(self, hit: bool) -> None:
-        self._cache.labels(result="hit" if hit else "miss").inc()
+    def record_cache(self, hit: bool, count: int = 1) -> None:
+        self._cache.labels(result="hit" if hit else "miss").inc(count)
 
     def record_engine_request(self, engine: str) -> None:
         self._engine_requests.labels(engine=str(engine)).inc()

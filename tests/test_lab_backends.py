@@ -19,7 +19,6 @@ import pytest
 
 from repro.api.config import RunConfig
 from repro.lab.backends import (
-    LocalPoolBackend,
     SharedDirBackend,
     SharedDirQueue,
     cell_from_dict,
@@ -27,7 +26,7 @@ from repro.lab.backends import (
     worker_loop,
 )
 from repro.lab.campaign import Campaign, SweepGrid, run_campaign
-from repro.lab.executor import PoolExecutor, SerialExecutor
+from repro.lab.executor import SerialExecutor
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO_ROOT, "src")
@@ -151,15 +150,6 @@ class TestSharedDirQueue:
             queue.complete(cell.cell_id, "w", row)
         assert queue.done_ids() == {c.cell_id for c in cells}
         assert queue.all_done()
-
-
-class TestLocalPoolBackend:
-    def test_rows_bit_identical_to_pool_executor(self):
-        cells = tiny_campaign().expand()
-        backend_rows = list(LocalPoolBackend(workers=2).map(cells))
-        pool_rows = list(PoolExecutor(workers=2).map(cells))
-        assert canonical(backend_rows) == canonical(pool_rows)
-        assert [r.cell_id for r in backend_rows] == [c.cell_id for c in cells]
 
 
 class TestSharedDirBackendIdentity:

@@ -9,7 +9,7 @@ import pytest
 from repro.api.config import RunConfig
 from repro.core.specs import FunctionSpec
 from repro.lab.cache import ResultCache, cell_cache_key, spec_fingerprint
-from repro.lab.campaign import Campaign, SweepGrid, run_campaign
+from repro.lab.campaign import Campaign, CellPipeline, SweepGrid, run_campaign
 from repro.lab.store import PROVENANCE_FIELDS, CellResult, ResultStore
 
 
@@ -567,3 +567,61 @@ class TestCampaignCacheAndResume:
         on_disk = json.loads((out / "summary.json").read_text())
         assert on_disk == run.summary.to_dict()
         assert on_disk["correct_rate"] == 1.0
+
+
+class TestCellPipeline:
+    """Pipeline rules no run_campaign test reaches: the serve (sink-less) form,
+    a foreign cache entry, an error row of a cacheable miss."""
+
+    def test_error_row_of_a_cacheable_miss_is_never_published(self, tmp_path):
+        from repro.lab.executor import run_cell
+
+        cache = ResultCache(str(tmp_path / "cache"))
+        mixed = Campaign(
+            name="mixed",
+            specs=[("minimum", "no-such-strategy"), ("minimum", "auto")],
+            inputs=[(2, 3)],
+            engines=("python",),
+            seed=3,
+        )
+        cells = mixed.expand()
+        pipeline = CellPipeline(cache=cache)
+        for cell in pipeline.triage(cells):
+            pipeline.land(cell, run_cell(cell))
+        bad, good = cells
+        assert pipeline.errors == 1 and pipeline.executed == 2
+        assert bad.cache_key() not in cache
+        assert cache.get(good.cache_key()) == pipeline.rows[good.cell_id].deterministic_dict()
+
+    def test_entry_recorded_for_another_cell_id_is_a_miss(self, tmp_path):
+        cache = ResultCache(str(tmp_path / "cache"))
+        cell = tiny_campaign().expand()[0]
+        cache.put(cell.cache_key(), {"cell_id": "someone-else", "status": "ok"})
+        pipeline = CellPipeline(cache=cache)
+        assert pipeline.triage([cell]) == [cell]
+        assert pipeline.from_cache == 0 and pipeline.cache_misses == 1
+
+    def test_sinkless_pipeline_keeps_rows_in_cell_order(self, tmp_path):
+        from repro.lab.executor import run_cell
+
+        cells = tiny_campaign().expand()[:3]
+        cache = ResultCache(str(tmp_path / "cache"))
+        cache.put(cells[2].cache_key(), run_cell(cells[2]).deterministic_dict())
+        sink, landed = [], []
+        pipeline = CellPipeline(
+            sink, cache, on_land=lambda cell, row, source: landed.append((cell.cell_id, source))
+        )
+        done = {cells[0].cell_id: run_cell(cells[0])}
+        misses = pipeline.triage(cells, done)
+        assert misses == [cells[1]]
+        pipeline.land(cells[1], run_cell(cells[1]))
+        assert landed == [
+            (cells[0].cell_id, "done"),
+            (cells[2].cell_id, "cache"),
+            (cells[1].cell_id, "run"),
+        ]
+        # a done row is never re-appended to the sink
+        assert [row.cell_id for row in sink] == [cells[2].cell_id, cells[1].cell_id]
+        assert [row.cell_id for row in pipeline.results(cells)] == [c.cell_id for c in cells]
+        assert (pipeline.already_done, pipeline.from_cache, pipeline.executed) == (1, 1, 1)
+        assert pipeline.done == 3

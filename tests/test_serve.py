@@ -257,6 +257,42 @@ class TestJobs:
         ]
         assert strip(second["results"]) == strip(first["results"])
 
+    def test_error_cell_is_never_cached_but_its_ok_sibling_is(self, tmp_path):
+        from repro.lab.cache import ResultCache
+        from repro.lab.campaign import Campaign
+
+        cache_dir = str(tmp_path / "cache")
+        fields = dict(
+            name="mixed",
+            specs=[["minimum", "no-such-strategy"], ["minimum", "auto"]],
+            inputs=[[3, 5]],
+            engines=["python"],
+            config=FAST_CONFIG,
+            seed=4,
+        )
+        with ServerThread(port=0, workers=1, cache_dir=cache_dir) as srv:
+            client = ServeClient("127.0.0.1", srv.port)
+            first = client.wait_for_job(client.submit_job(**fields)["id"])
+            second = client.wait_for_job(client.submit_job(**fields)["id"])
+
+        assert first["progress"]["errors"] == 1 and first["progress"]["executed"] == 2
+        # the ok row replays from the cache; the error row runs again
+        assert second["progress"]["from_cache"] == 1
+        assert second["progress"]["executed"] == 1 and second["progress"]["errors"] == 1
+        bad, good = Campaign(
+            name="mixed",
+            specs=[("minimum", "no-such-strategy"), ("minimum", "auto")],
+            inputs=[(3, 5)],
+            engines=("python",),
+            configs=(RunConfig.from_json_dict(FAST_CONFIG),),
+            seed=4,
+        ).expand()
+        assert [row["cell_id"] for row in first["results"]] == [bad.cell_id, good.cell_id]
+        assert first["results"][0]["status"] == "error"
+        cache = ResultCache(cache_dir)
+        assert bad.cache_key() not in cache
+        assert good.cache_key() in cache
+
     def test_job_over_a_grid(self, client):
         job = client.submit_job(
             name="grid",

@@ -20,12 +20,19 @@ from repro.crn.stoichiometry import (
     stoichiometric_matrix,
     unproducible_species,
 )
+from repro.core.characterization import build_crn_for
 from repro.functions.catalog import maximum_spec, minimum_spec
-from repro.functions.paper_examples import interior_min_plus_one_spec
+from repro.lab.campaign import resolve_spec, spec_factory_names
 from repro.quilt.quilt_affine import QuiltAffine
 
 
 X, X1, X2, Y, Z, W = species("X X1 X2 Y Z W")
+
+#: Every registered spec with an eventually-min witness, i.e. every spec the
+#: general (Lemma 6.2) construction can build.
+EVENTUALLY_MIN_SPECS = [
+    name for name in spec_factory_names() if resolve_spec(name).eventually_min is not None
+]
 
 
 class TestStoichiometricMatrix:
@@ -94,11 +101,14 @@ class TestStructuralAudits:
         crn = build_general_crn(fig7_spec())
         assert dead_reactions(crn) == []
 
-    def test_zero_restrictions_yield_only_harmless_dead_reactions(self):
-        # interior-min-plus-one has constant-zero restrictions, whose output species
-        # are (correctly) never produced; the only dead reactions are the pass-through
-        # reactions consuming those outputs.
-        crn = build_general_crn(interior_min_plus_one_spec())
+    @pytest.mark.parametrize("spec_name", EVENTUALLY_MIN_SPECS)
+    def test_zero_restrictions_yield_only_harmless_dead_reactions(self, spec_name):
+        # A constant-zero restriction's output species is (correctly) never
+        # produced, so the pass-through reaction consuming it is dead (today in
+        # fig4a_style and interior_min_plus_one).  Any other dead reaction in a
+        # general construction is a wiring bug.
+        spec = resolve_spec(spec_name)
+        crn = build_crn_for(spec, name=spec.name, strategy="general")
         dead = dead_reactions(crn)
         assert all(rxn.name.endswith("pass_a") for rxn in dead)
 
